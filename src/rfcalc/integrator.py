@@ -4,8 +4,9 @@ integrate() doubles the cell count of a uniform partition until two
 successive Riemann sums agree to the requested tolerance.  There is no
 adaptive subdivision and no quadrature formula beyond the tag rule; the
 point is to watch the definitional limit converge.  integrate_improper()
-runs the same engine on a shrinking-window sequence toward a singular
-endpoint and accelerates the tail with one Aitken delta-squared step.
+closes a window sequence on a singular endpoint, runs the same engine only
+on the slice each new window adds, and accelerates the running sum with
+one Aitken delta-squared step.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ Fn = Callable[[float], float]
 DEFAULT_MAX_N = 2 ** 22
 DEFAULT_N0 = 8
 
-# Improper-limit controls.  Window j uses endpoint offset (b-a)*2^-j; the
-# inner tolerance divides by 32 because Aitken amplifies independent window
-# errors by roughly an order of magnitude at ratio ~ 1/sqrt(2).
+# Improper-limit controls.  Window j uses endpoint offset (b-a)*2^-j and
+# adds the slice between cut points j-1 and j to a running sum.  The first
+# slice gets tolerance tol/_IMPROPER_INNER_DIV, and each later one
+# _SLICE_TOL_RATIO times the one before, so the slice tolerances sum to
+# less than 3.5*tol/32 and an inverse-square-root endpoint needs about the
+# same cell count in every slice.  Dividing by 32 leaves room for Aitken,
+# which amplifies the errors of the last slices by roughly an order of
+# magnitude at ratio ~ 1/sqrt(2).
 _IMPROPER_FIRST_J = 2
 _IMPROPER_MAX_J = 40
 _IMPROPER_INNER_DIV = 32.0
 _GROWTH_STREAK = 5
+_SLICE_TOL_RATIO = 2.0 ** -0.5
+_GROWTH_RESOLUTION = 2.0 ** -10
 
 
 @dataclass(frozen=True)
@@ -119,12 +127,19 @@ def integrate_improper(
     """Limit of proper integrals as a window closes on a singular endpoint.
 
     Window j stops short of the bad endpoint by (b-a)*2^-j for j = 2, 3, ...
-    The window values feed one Aitken delta-squared extrapolation, and the
-    run stops when successive accelerated values differ by at most tol.
-    Monotone growth that is still accelerating after five consecutive
-    windows and has passed 1/tol raises DivergenceError; that pattern is
-    what a non-integrable endpoint looks like, as opposed to slow
-    convergence, whose increments shrink.
+    By additivity, window j is window j-1 plus the slice between their cut
+    points, so each slice is integrated once, at a tolerance that shrinks
+    geometrically with j, and added to a running sum.  The running sums
+    feed one Aitken delta-squared extrapolation, used only while the last
+    slice is smaller than the one before it by more than their tolerances.
+    The run stops when successive accelerated values, widened by how far
+    the extrapolation can move within the last two slice tolerances,
+    differ by at most tol.  A slice that misses its tolerance makes the
+    result non-converged.  Slices that stop shrinking for _GROWTH_STREAK
+    consecutive windows raise DivergenceError: at an integrable endpoint
+    the increments go to zero, and at 1/t they stay equal.  While growth is
+    suspected, slices are resolved only coarsely; a run that converges
+    after that reports converged=False.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
@@ -136,51 +151,66 @@ def integrate_improper(
         raise InvalidArgumentError("improper integration requires a < b")
 
     span = b - a
-    raw: list[float] = []
-    acc: list[float] = []
+    running = 0.0
+    sums: list[float] = []
     trace: list[tuple[int, float]] = []
     evaluations = 0
-    n_seed = DEFAULT_N0
-    n_last = 0
+    prev_cut = b if singular_end == "lower" else a
+    prev_slice, prev_tol = math.inf, 0.0
+    streak = 0
+    within_budget = True
     for j in range(_IMPROPER_FIRST_J, _IMPROPER_MAX_J + 1):
         delta = span * 2.0 ** -j
-        lo, hi = (a + delta, b) if singular_end == "lower" else (a, b - delta)
+        cut = a + delta if singular_end == "lower" else b - delta
+        lo, hi = (cut, prev_cut) if singular_end == "lower" else (prev_cut, cut)
+        prev_cut = cut
 
-        inner_tol = tol / _IMPROPER_INNER_DIV
-        if len(raw) >= 3:
-            d1 = abs(raw[-1]) - abs(raw[-2])
-            d2 = abs(raw[-2]) - abs(raw[-3])
-            if d1 > d2 > 0.0:
-                # Accelerating growth: blow-up suspected, and detecting it
-                # only needs increments resolved to a fraction of themselves.
-                inner_tol = max(inner_tol, 0.25 * d1)
-
-        r = integrate(f, lo, hi, inner_tol, rule, max_n, n0=n_seed)
+        slice_tol = tol / _IMPROPER_INNER_DIV * _SLICE_TOL_RATIO ** (j - _IMPROPER_FIRST_J)
+        if streak and abs(prev_slice) * _GROWTH_RESOLUTION > slice_tol:
+            # Growth suspected: telling it from shrinkage only needs each
+            # slice to a small fraction of itself, but a slice resolved that
+            # coarsely spends more than its share of the error budget.
+            slice_tol = abs(prev_slice) * _GROWTH_RESOLUTION
+            within_budget = False
+        # Cells narrower than a few ulps would make partition points collide.
+        cap = max_n
+        while cap > 1 and (hi - lo) / cap < 4.0 * math.ulp(max(abs(lo), abs(hi))):
+            cap //= 2
+        r = integrate(f, lo, hi, slice_tol, rule, cap)
         evaluations += r.evaluations
-        n_seed = max(DEFAULT_N0, r.n_final // 2)
-        n_last = r.n_final
-        raw.append(r.value)
+        running += r.value
+        sums.append(running)
 
-        if len(raw) > _GROWTH_STREAK:
-            increments = [
-                abs(raw[i + 1]) - abs(raw[i]) for i in range(len(raw) - 1 - _GROWTH_STREAK, len(raw) - 1)
-            ]
-            if all(d > 0.0 for d in increments) and abs(raw[-1]) > 1.0 / tol:
-                raise DivergenceError(
-                    f"window integrals grew monotonically past 1/tol={1.0 / tol:g}; "
-                    f"endpoint looks non-integrable (last value {raw[-1]:g})"
-                )
+        shrank = abs(r.value) + slice_tol < abs(prev_slice) - prev_tol
+        if shrank and len(sums) >= 3:
+            ratio = r.value / prev_slice
+            value = _aitken(sums[-3], sums[-2], sums[-1])
+            # First-order change of the extrapolated value when the last two
+            # slices are off by their tolerances; it grows as ratio -> 1.
+            noise = (abs(1.0 - 2.0 * ratio) * prev_tol + slice_tol) / (1.0 - ratio) ** 2
+        else:
+            value, noise = running, 0.0
+        streak = 0 if shrank or abs(r.value) <= slice_tol else streak + 1
+        prev_slice, prev_tol = r.value, slice_tol
+        trace.append((r.n_final, value))
+        est = abs(value - trace[-2][1]) + noise if len(trace) >= 2 else math.inf
 
-        value = _aitken(raw[-3], raw[-2], raw[-1]) if len(raw) >= 3 else raw[-1]
-        acc.append(value)
-        trace.append((n_last, value))
-        if len(raw) >= 4:
-            diff = abs(acc[-1] - acc[-2])
-            if diff <= tol:
-                return IntegrationResult(acc[-1], diff, n_last, evaluations, True, tuple(trace))
+        if not r.converged:
+            # The running sum now carries more error than its budget, so no
+            # later window can make the limit honest.
+            return IntegrationResult(
+                value, max(est, r.error_estimate), r.n_final, evaluations, False, tuple(trace)
+            )
+        if streak >= _GROWTH_STREAK:
+            raise DivergenceError(
+                f"window increments stopped shrinking for {streak} windows "
+                f"(last slice {r.value:g}, window sum {running:g}); "
+                f"endpoint looks non-integrable"
+            )
+        if len(trace) >= 4 and est <= tol:
+            return IntegrationResult(value, est, r.n_final, evaluations, within_budget, tuple(trace))
 
-    diff = abs(acc[-1] - acc[-2]) if len(acc) >= 2 else math.inf
-    return IntegrationResult(acc[-1], diff, n_last, evaluations, False, tuple(trace))
+    return IntegrationResult(value, est, r.n_final, evaluations, False, tuple(trace))
 
 
 def cumulative(

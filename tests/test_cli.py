@@ -44,8 +44,7 @@ def test_integrate_json(capsys):
 
 
 def test_integrate_improper(capsys):
-    # tolerance kept modest: the parsed-expression path walks the tree per
-    # sample, and the singular window sequence needs millions of samples
+    # oracle: the integral of 1/sqrt(1-t^2) over [0, 1) is pi/2
     code, out, _ = run_cli(
         capsys, "integrate", "1/sqrt(1-t^2)", "0", "1",
         "--improper", "upper", "--tol", "1e-4",
@@ -63,6 +62,25 @@ def test_integrate_divergent_exits_1(capsys):
     )
     assert code == 1
     assert err.startswith("error: divergent:")
+
+
+def test_integrate_log_divergence_exits_1(capsys):
+    # equal slices of 1/t: this used to print "converged yes" at 17.21
+    code, _, err = run_cli(
+        capsys, "integrate", "1/t", "0", "1", "--improper", "lower", "--tol", "1e-3"
+    )
+    assert code == 1
+    assert err.startswith("error: divergent:")
+
+
+def test_improper_slice_at_cap_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "integrate", "1/sqrt(1-t^2)", "0", "1",
+        "--improper", "upper", "--tol", "1e-8", "--max-n", "64",
+    )
+    assert code == 2
+    assert "converged no" in out
+    assert "did not converge within n <= 64" in err
 
 
 def test_nonconvergence_exits_2(capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rfcalc.errors import DivergenceError, InvalidArgumentError
@@ -135,6 +135,88 @@ def test_improper_flags_divergent_pole():
     f = lambda t: 1.0 / (math.sin(t) ** 2)
     with pytest.raises(DivergenceError, match="non-integrable"):
         integrate_improper(f, 0.0, 1.0, "lower", 1e-4)
+
+
+def test_improper_slice_at_cap_is_not_converged():
+    # The first slice needs far more than 64 cells; the result used to
+    # claim convergence while off by 5.3e-2.
+    r = integrate_improper(
+        lambda t: 1.0 / math.sqrt(1.0 - t * t), 0.0, 1.0, "upper", 1e-8, max_n=64
+    )
+    assert not r.converged
+
+
+def test_improper_converged_is_within_tol():
+    # Most windows used to hit the cap here, yet the result claimed an
+    # error of 4.6e-9 while off by 1.7e-3.
+    r = integrate_improper(
+        lambda t: 1.0 / math.sqrt(1.0 - t * t), 0.0, 1.0, "upper", 1e-8, max_n=2 ** 16
+    )
+    assert not r.converged or abs(r.value - math.pi / 2.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "f, tol",
+    [
+        (lambda t: 1.0 / t, 1e-3),  # equal slices: growth at a log rate
+        (lambda t: t ** -1.5, 1e-6),
+        (lambda t: t ** -2.0, 1e-6),
+    ],
+    ids=["inv-t", "t^-1.5", "t^-2"],
+)
+def test_improper_flags_slices_that_stop_shrinking(f, tol):
+    with pytest.raises(DivergenceError, match="non-integrable"):
+        integrate_improper(f, 0.0, 1.0, "lower", tol)
+
+
+def test_improper_coarse_growth_probe_is_not_converged():
+    # A bump in [1/16, 1/8] makes that slice larger than the one before, so
+    # the next slice is integrated only coarsely, to tell growth from
+    # shrinkage.  Its error stays in the running sum (9.3e-6 here), so the
+    # result must not claim tol 1e-6.
+    def f(t):
+        return 1.0 / math.sqrt(t) + 20.0 * math.exp(-(((t - 0.09) / 0.005) ** 2))
+
+    exact = 2.0 + 20.0 * 0.005 * math.sqrt(math.pi) / 2.0 * (
+        math.erf(0.91 / 0.005) + math.erf(0.09 / 0.005)
+    )
+    r = integrate_improper(f, 0.0, 1.0, "lower", 1e-6)
+    assert not r.converged or abs(r.value - exact) <= 1e-6
+
+
+def _power(p, end):
+    # t^-p at the lower end of [0, 1], (1-t)^-p at the upper end
+    if end == "lower":
+        return lambda t: t ** -p
+    return lambda t: (1.0 - t) ** -p
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.9999, exclude_min=True),
+    st.integers(min_value=4, max_value=8),
+    st.sampled_from(["lower", "upper"]),
+)
+@example(0.999, 4, "lower")  # slice ratio near 1: Aitken amplifies slice errors
+@example(0.999, 4, "upper")  # deep slices narrower than a few ulps of 1
+def test_improper_power_singularity_converges_within_tol(p, k, end):
+    # oracle: integral of t^-p over (0, 1] is 1/(1-p).  The cap keeps each
+    # example cheap; a slice that reaches it makes the result non-converged,
+    # which is an honest answer.  p stops at 0.9999: closer to 1, successive
+    # slices differ by less than their tolerances, as they do for 1/t.
+    tol = 10.0 ** -k
+    r = integrate_improper(_power(p, end), 0.0, 1.0, end, tol, max_n=2 ** 14)
+    if r.converged:
+        assert abs(r.value - 1.0 / (1.0 - p)) <= tol
+
+
+@given(
+    st.floats(min_value=1.0, max_value=2.0),
+    st.integers(min_value=4, max_value=8),
+    st.sampled_from(["lower", "upper"]),
+)
+def test_improper_power_singularity_diverges(p, k, end):
+    with pytest.raises(DivergenceError):
+        integrate_improper(_power(p, end), 0.0, 1.0, end, 10.0 ** -k)
 
 
 def test_improper_argument_checks():

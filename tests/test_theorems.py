@@ -4,6 +4,7 @@ import pytest
 
 from rfcalc.elementary import exp_construct, log_construct
 from rfcalc.errors import HypothesisViolation, InvalidArgumentError
+from rfcalc.integrator import integrate_improper
 from rfcalc.theorems import (
     CSV_HEADER,
     CheckReport,
@@ -18,6 +19,7 @@ from rfcalc.theorems import (
     reports_to_csv,
     run_catalog,
     substitution_showcases,
+    _catalog_entries,
 )
 
 
@@ -198,3 +200,14 @@ def test_log_closed_forms_agree_with_quadrature():
     # against the certified log, oracle value log 4 = 1.3862943611198906
     approx = log_construct(4.0, 1e-13)
     assert approx.value == pytest.approx(1.3862943611198906, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["arcsin-improper", "arcosh-improper"])
+def test_improper_catalog_rows_sample_budget(name):
+    # Deterministic work count at the catalog's quadrature tolerance for
+    # tol 1e-6 (qtol = tol/2): each slice is integrated once, so a row needs
+    # tens of thousands of samples, not the 21.85M of re-integrated windows.
+    entry = next(e for e in _catalog_entries(1e-9) if e.name == name)
+    r = integrate_improper(entry.integrand, entry.lo, entry.hi, entry.improper_end, 5e-7)
+    assert r.converged
+    assert r.evaluations <= 100_000
