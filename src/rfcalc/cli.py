@@ -188,8 +188,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Finite-difference rows carry an h^2 truncation floor; pushing their
     # tolerance below 1e-5 would fail for reasons unrelated to the tower.
     fd_tol = max(cfg.tolerance, 1e-5)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    reports = run_catalog(cfg.tolerance, jobs=jobs, name_filter=args.filter)
+    reports = run_catalog(cfg.tolerance, name_filter=args.filter)
     try:
         shows = substitution_showcases(cfg.tolerance)
     except HypothesisViolation as exc:
@@ -240,8 +239,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         for n, value, diff in report.rows:
             tail = "" if diff is None else f" diff={_f9(diff)}"
             print(f"n={n} value={_f9(value)}{tail}")
-        if report.estimated_order is not None:
-            print(f"estimated order {_f9(report.estimated_order)}")
+        print(f"estimated order {_f9(report.estimated_order)}")
     return 0
 
 
@@ -296,8 +294,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", choices=("human", "csv", "json"), default=None,
                      help="report format (default human; converge: csv)")
     sub.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker threads for independent checks")
 
 
 def _build_parser() -> _ArgumentParser:

@@ -5,8 +5,9 @@ pinch log m between n(m^{1/n} - 1)/m^{1/n} and n(m^{1/n} - 1).  With
 n = 2^j the n-th root comes from repeated square roots, and the recurrence
 d' = d/(1 + sqrt(1 + d)) carries m^{1/n} - 1 itself, so forming
 n(m^{1/n} - 1) never subtracts nearly equal numbers.  exp inverts log by
-bisection, b^x = exp(x log b), hyperbolics are their defining quotients of
-exp, and the inverse functions bisect their monotone forward branches.
+Newton's method from a polynomial start, each step one certified log call,
+b^x = exp(x log b), hyperbolics are their defining quotients of exp, and
+the inverse functions bisect their monotone forward branches.
 
 math.log / math.exp / math.pow appear nowhere in this module; the test
 suite uses them as oracles, the implementation must not.  Platform
@@ -117,10 +118,12 @@ def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
 def exp_construct(y: float, eps: float = 1e-12) -> float:
     """Inverse of the constructed log, to relative accuracy ~eps.
 
-    Splits off the power of two k0 = floor(y / log 2) and bisects the
-    residual factor w in [0.5, 4] against log w = y - k0 log 2, so the
-    bracket stays O(1) and the result ldexp(w, k0) is relatively accurate
-    at every magnitude.  Beyond double range returns inf / 0.0.
+    Splits off k0 = floor(y / log 2) and Newton-solves log w = yr for the
+    residual yr = y - k0 log 2 from a degree-6 Taylor start, one certified
+    log call per step, so ldexp(w, k0) is relatively accurate at every
+    magnitude.  Stops when the certified radius of w meets eps/2 or, below
+    the log's certification floor, when another step would only chase
+    rounding.  Beyond double range returns inf / 0.0.
     """
     if not eps > 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
@@ -135,21 +138,20 @@ def exp_construct(y: float, eps: float = 1e-12) -> float:
     l2 = _log2_enclosure()
     k0 = math.floor(y / l2.value)
     yr = y - k0 * l2.value  # in [0, log 2) up to rounding slip
-    lo, hi = 0.5, 4.0  # holds e^yr even if k0 is off by one
-    # Comparison slop must track the final target, not the current bracket:
-    # a log error of delta can displace the kept bracket by delta * w, and a
-    # width-proportional delta lets an early step exclude the root for good.
-    cmp_eps = max(5e-15, 0.125 * eps)
-    while hi - lo > eps * lo:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if log_construct(mid, cmp_eps).value < yr:
-            lo = mid
-        else:
-            hi = mid
+    # Relative error of this start is at most yr^7/7! < 1.5e-5.
+    w = 1.0 + yr * (1.0 + yr * (1 / 2 + yr * (1 / 6 + yr * (1 / 24 + yr * (1 / 120 + yr / 720)))))
+    noise = 4.0 * _ULP  # rounding in r, in 1 + r + r^2/2 and in the product
+    radius = newton = math.inf
+    while radius > 0.5 * eps and newton > noise:
+        lw = log_construct(w, 0.25 * eps)
+        r = yr - lw.value
+        w *= 1.0 + r * (1.0 + 0.5 * r)
+        # e^yr = w_old e^s with |s - r| <= bound, so for |r| + bound <= 1 the
+        # update is off by at most bound + bound^2 + |r|^3 relatively.
+        newton = abs(r) ** 3
+        radius = lw.bound * (1.0 + lw.bound) + newton + noise
     try:
-        return math.ldexp(0.5 * (lo + hi), k0)
+        return math.ldexp(w, k0)
     except OverflowError:
         return math.inf
 

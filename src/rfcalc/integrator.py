@@ -69,7 +69,8 @@ def integrate(
 
     Conventions: the integral over [a, a] is exactly 0, and reversed
     endpoints negate the result.  Stops once successive sums differ by at
-    most tol, or returns converged=False when doubling would pass max_n.
+    most tol, or returns converged=False when doubling would pass max_n or
+    make cells narrower than an ulp, so that partition points collide.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
@@ -93,15 +94,20 @@ def integrate(
     trace: list[tuple[int, float]] = []
     evaluations = 0
     interval = Interval(a, b)
+    partition = uniform_partition(interval, n, rule)
     while True:
-        s = riemann_sum(f, uniform_partition(interval, n, rule))
+        s = riemann_sum(f, partition)
         evaluations += n
         trace.append((n, s))
         if prev is not None:
             diff = abs(s - prev)
             if diff <= tol:
                 return IntegrationResult(s, diff, n, evaluations, True, tuple(trace))
-        if 2 * n > max_n:
+        try:
+            partition = uniform_partition(interval, 2 * n, rule) if 2 * n <= max_n else None
+        except InvalidArgumentError:  # cells below an ulp: points collide
+            partition = None
+        if partition is None:
             est = abs(s - prev) if prev is not None else math.inf
             return IntegrationResult(s, est, n, evaluations, False, tuple(trace))
         prev = s

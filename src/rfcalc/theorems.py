@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -478,27 +477,19 @@ def _run_entry(entry: CatalogEntry, tol: float) -> CheckReport:
     return make_report(entry.name, result.value, rhs, tol, entry.anchor)
 
 
-def run_catalog(
-    tol: float, jobs: Optional[int] = None, name_filter: Optional[str] = None
-) -> list[CheckReport]:
+def run_catalog(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
     """Integrate every catalog entry and compare with its closed form.
 
-    Entries are independent; jobs > 1 runs them in a thread pool.  Reports
-    come back sorted by name regardless of schedule.  name_filter keeps
-    only entries whose name contains the substring, skipping the rest
-    before any quadrature runs.
+    Reports come back sorted by name.  name_filter keeps only entries whose
+    name contains the substring, skipping the rest before any quadrature
+    runs.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     entries = _catalog_entries(max(1e-13, tol * 1e-3))
     if name_filter is not None:
         entries = [e for e in entries if name_filter in e.name]
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda e: _run_entry(e, tol), entries))
-    else:
-        reports = [_run_entry(e, tol) for e in entries]
-    return sorted(reports, key=lambda r: r.name)
+    return sorted((_run_entry(e, tol) for e in entries), key=lambda r: r.name)
 
 
 def substitution_showcases(tol: float) -> list[CheckReport]:

@@ -5,11 +5,13 @@ under test never calls them.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rfcalc import elementary
 from rfcalc.elementary import (
     ApproxValue,
     e_const,
@@ -70,6 +72,52 @@ def test_exp_matches_platform(y):
     got = exp_construct(y, 1e-12)
     want = math.exp(y)
     assert got == pytest.approx(want, rel=4e-12)
+
+
+# At eps 1e-14 the reduction y - k0 log 2 rounds at |y| 2^-53, which
+# exceeds eps once |y| > 1; these are the ranges exp is held to.
+_EXP_RANGES = [(1e-9, -700.0, 709.0), (1e-12, -700.0, 709.0), (1e-14, -1.0, 1.0)]
+
+
+@pytest.mark.parametrize("eps,lo,hi", _EXP_RANGES)
+@given(data=st.data())
+def test_exp_within_relative_eps(eps, lo, hi, data):
+    y = data.draw(st.floats(min_value=lo, max_value=hi))
+    want = math.exp(y)
+    assert abs(exp_construct(y, eps) - want) <= eps * want
+
+
+@pytest.mark.parametrize("eps,lo,hi", _EXP_RANGES)
+@given(data=st.data())
+def test_pow_within_relative_eps(eps, lo, hi, data):
+    # b^x = exp(x log b), the exponent x log b drawn from the same range.
+    e = data.draw(st.floats(min_value=0.05, max_value=20.0)) * data.draw(st.sampled_from((-1, 1)))
+    b = 2.0 ** e
+    x = data.draw(st.floats(min_value=lo, max_value=hi)) / math.log(b)
+    want = b ** x
+    # The error log b carries in, times x, comes on top of eps: for b just
+    # below 1 it exceeds eps / |x| (log b is k log 2 + log m with k = -1).
+    log_b = log_construct(b, 0.5 * eps / max(1.0, abs(x))).value
+    carried = abs(x * (log_b - math.log(b)))
+    assert abs(pow_construct(b, x, eps) - want) <= (eps + carried) * want
+
+
+def test_exp_log_calls_per_value(monkeypatch):
+    calls = 0
+    real_log = elementary.log_construct
+
+    def counted_log(x, eps=1e-12):
+        nonlocal calls
+        calls += 1
+        return real_log(x, eps)
+
+    monkeypatch.setattr(elementary, "log_construct", counted_log)
+    rng = random.Random(20261018)
+    for eps, most in ((1e-9, 2), (1e-14, 4)):
+        for _ in range(300):
+            calls = 0
+            exp_construct(rng.uniform(-700.0, 709.0), eps)
+            assert calls <= most
 
 
 def test_exp_special_values():

@@ -48,6 +48,17 @@ def test_cap_reached_is_an_answer_not_an_error():
     assert math.isfinite(r.value)
 
 
+def test_cells_below_an_ulp_stop_refinement_without_crashing():
+    # Width 2^-36 next to 1, where doubles are 2^-53 apart: 2^17 cells are
+    # one ulp wide, and 2^18 cells would make partition points collide.
+    r = integrate(lambda t: (1 - t) ** -0.999, 1 - 2 ** -35, 1 - 2 ** -36, 1e-12)
+    assert not r.converged
+    assert r.n_final == 2 ** 17
+    assert r.trace[-1] == (r.n_final, r.value)
+    assert r.evaluations == sum(n for n, _ in r.trace)
+    assert r.error_estimate == abs(r.trace[-1][1] - r.trace[-2][1])
+
+
 def test_bad_arguments():
     with pytest.raises(InvalidArgumentError):
         integrate(math.sin, 0.0, 1.0, 0.0)
