@@ -6,7 +6,7 @@ Defaults to cos(t) on [0, 1], whose exact integral is sin(1).
 
 import sys
 
-from rfcalc.expr import eval_expr, parse
+from rfcalc.expr import compile, parse
 from rfcalc.integrator import convergence_report
 from rfcalc.partitions import LEFT, MIDPOINT, RIGHT
 
@@ -15,8 +15,7 @@ def main() -> None:
     src = sys.argv[1] if len(sys.argv) > 1 else "cos(t)"
     a = float(sys.argv[2]) if len(sys.argv) > 2 else 0.0
     b = float(sys.argv[3]) if len(sys.argv) > 3 else 1.0
-    tree = parse(src)
-    f = lambda t: eval_expr(tree, t)
+    f = compile(parse(src))
     ns = [2 ** j for j in range(3, 13)]
 
     print(f"integrand {src} on [{a}, {b}]")

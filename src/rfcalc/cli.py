@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage/domain/parse error, 2 non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,7 +32,8 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .expr import eval_expr, parse
+from .expr import compile, parse
+from .expr import eval_expr  # noqa: F401  (perfbench/layers.py hooks cli.eval_expr)
 from .integrator import (
     DEFAULT_MAX_N,
     IntegrationResult,
@@ -60,7 +62,6 @@ _MAX_N_CEIL = 2 ** 26
 class CliConfig:
     """Resolved run settings shared by the subcommands."""
 
-    tolerance: float
     max_n: int
     rule: str
     output: str
@@ -96,12 +97,15 @@ def _resolve_max_n(flag_value: Optional[int]) -> int:
     return n
 
 
-def _config(args: argparse.Namespace, default_tol: float, default_output: str) -> CliConfig:
-    tol = args.tol if args.tol is not None else default_tol
-    if not tol > 0:
-        raise InvalidArgumentError(f"--tol must be positive, got {tol}")
+def _config(args: argparse.Namespace, default_output: str) -> CliConfig:
     output = args.output if args.output is not None else default_output
-    return CliConfig(tol, _resolve_max_n(args.max_n), args.rule, output)
+    return CliConfig(_resolve_max_n(args.max_n), args.rule, output)
+
+
+def _tolerance(args: argparse.Namespace) -> float:
+    if not args.tol > 0:
+        raise InvalidArgumentError(f"--tol must be positive, got {args.tol}")
+    return args.tol
 
 
 def _f9(v: float) -> str:
@@ -137,19 +141,16 @@ def _emit_integration(result: IntegrationResult, output: str) -> None:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    cfg = _config(args, 1e-8, "human")
-    tree = parse(args.expr)
+    tol = _tolerance(args)
+    cfg = _config(args, "human")
+    f = compile(parse(args.expr))
     rule = _RULES[cfg.rule]
-
-    def f(t: float) -> float:
-        return eval_expr(tree, t)
-
     if args.improper is not None:
         result = integrate_improper(
-            f, args.a, args.b, args.improper, cfg.tolerance, rule=rule, max_n=cfg.max_n
+            f, args.a, args.b, args.improper, tol, rule=rule, max_n=cfg.max_n
         )
     else:
-        result = integrate(f, args.a, args.b, cfg.tolerance, rule=rule, max_n=cfg.max_n)
+        result = integrate(f, args.a, args.b, tol, rule=rule, max_n=cfg.max_n)
     _emit_integration(result, cfg.output)
     if not result.converged:
         print(f"did not converge within n <= {cfg.max_n}", file=sys.stderr)
@@ -184,19 +185,20 @@ def _emit_reports(reports: list[CheckReport], output: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args, 1e-6, "human")
+    tol = _tolerance(args)
+    cfg = _config(args, "human")
     # Finite-difference rows carry an h^2 truncation floor; pushing their
     # tolerance below 1e-5 would fail for reasons unrelated to the tower.
-    fd_tol = max(cfg.tolerance, 1e-5)
-    reports = run_catalog(cfg.tolerance, name_filter=args.filter)
+    fd_tol = max(tol, 1e-5)
+    reports = run_catalog(tol, name_filter=args.filter)
     try:
-        shows = substitution_showcases(cfg.tolerance)
+        shows = substitution_showcases(tol)
     except HypothesisViolation as exc:
         # A tolerance below the fp floor makes the showcase hypothesis
         # checks unsatisfiable; that is a failing row, not a crash.
         shows = [CheckReport(
             "substitution-showcases", math.nan, math.nan, math.inf,
-            cfg.tolerance, False, str(exc).replace(",", ";"),
+            tol, False, str(exc).replace(",", ";"),
         )]
     rest = (
         derivative_table_check(fd_tol)
@@ -214,18 +216,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    cfg = _config(args, 1e-8, "csv")
-    tree = parse(args.expr)
+    cfg = _config(args, "csv")
+    f = compile(parse(args.expr))
     if args.n_from < 1:
         raise InvalidArgumentError(f"--n-from must be >= 1, got {args.n_from}")
     if args.n_to < args.n_from:
         raise InvalidArgumentError("--n-to must be >= --n-from")
+    if args.n_from > cfg.max_n:
+        raise InvalidArgumentError(
+            f"--n-from must not exceed the refinement cap {cfg.max_n}, got {args.n_from}"
+        )
     ns = [args.n_from]
     while ns[-1] * 2 <= min(args.n_to, cfg.max_n):
         ns.append(ns[-1] * 2)
-
-    def f(t: float) -> float:
-        return eval_expr(tree, t)
 
     report = convergence_report(f, args.a, args.b, _RULES[cfg.rule], ns, exact=args.exact)
     if cfg.output == "csv":
@@ -249,7 +252,7 @@ _EVAL_NAMES = ("log", "exp", "e", "pow") + _EVAL_HYPERBOLIC + _EVAL_INVERSE
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(args, 1e-8, "human")
+    cfg = _config(args, "human")
     eps = args.eps
     if not eps > 0:
         raise InvalidArgumentError(f"--eps must be positive, got {eps}")
@@ -284,18 +287,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_tol(sub: argparse.ArgumentParser, default: float) -> None:
+    sub.add_argument("--tol", type=float, default=default,
+                     help=f"target tolerance (default {default:g})")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=None,
-                     help="target tolerance (default: 1e-8, verify: 1e-6)")
     sub.add_argument("--max-n", type=int, default=None, dest="max_n",
                      help="refinement cap, a power of two in [2^6, 2^26]")
     sub.add_argument("--rule", choices=sorted(_RULES), default="midpoint",
                      help="tag rule for Riemann sums")
     sub.add_argument("--output", choices=("human", "csv", "json"), default=None,
                      help="report format (default human; converge: csv)")
-    sub.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
 
 
+@functools.lru_cache(maxsize=None)  # built on the first main() call, then reused
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="rfcalc",
@@ -309,12 +315,15 @@ def _build_parser() -> _ArgumentParser:
     p_int.add_argument("b", type=float, help="upper endpoint")
     p_int.add_argument("--improper", choices=("lower", "upper"), default=None,
                        help="treat this endpoint as singular")
+    _add_tol(p_int, 1e-8)
     _add_common(p_int)
     p_int.set_defaults(func=_cmd_integrate)
 
     p_ver = commands.add_parser("verify", help="run the identity catalog and theorem checks")
     p_ver.add_argument("--filter", default=None,
                        help="only run checks whose name contains this substring")
+    p_ver.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
+    _add_tol(p_ver, 1e-6)
     _add_common(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 

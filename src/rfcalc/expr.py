@@ -1,10 +1,15 @@
 """A small expression language over the variable t.
 
-Recursive-descent parser, strict evaluator, and a minimal-parenthesis
-printer.  Power is right-associative and binds tighter than unary minus,
-so "-2^2" means -(2^2).  Evaluation routes exp, log, powers, hyperbolics
-and inverse functions through the constructive implementations; plain
-trig goes through the platform.
+Recursive-descent parser, a compiler from trees to array integrands, and
+a minimal-parenthesis printer.  Power is right-associative and binds
+tighter than unary minus, so "-2^2" means -(2^2).  compile() walks a tree
+once and returns an ArrayFn that evaluates it over a whole array of t: the
+arithmetic, sqrt, abs, sin and cos (and sec, csc, cot from them) as numpy
+ops, and tan, exp, log, non-integral powers, hyperbolics and inverse
+functions element by element through math.tan and the constructive
+implementations.  Each element gets the same bits, and the same domain
+errors, as evaluating the tree at that point alone, which is what
+eval_expr(e, t) does.
 """
 
 from __future__ import annotations
@@ -13,10 +18,13 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .elementary import exp_construct, hyperbolic, inverse_fn, log_construct, pow_construct
-from .errors import EvaluationError, ParseError
+from .errors import DomainError, EvaluationError, InvalidArgumentError, ParseError
+from .partitions import ArrayFn
 
 NUMBER = "Number"
 IDENT = "Ident"
@@ -209,7 +217,117 @@ _EVAL_EPS = 1e-14
 _MAX_MUL_EXPONENT = 64
 
 
-def _power(base: float, expo: float, t: float) -> float:
+class _Faults:
+    """The first element, in array order, with a domain violation, and the
+    message of its first violation in evaluation order.
+
+    That element is the tag at which a walk over the tags in order would
+    stop, so the elements after it no longer matter: array ops still
+    compute them, element-by-element ops skip them.
+    """
+
+    __slots__ = ("index", "message")
+
+    def __init__(self, n: int):
+        self.index = n
+        self.message = ""
+
+    def mark(self, where: np.ndarray, message: str) -> None:
+        k = int(where.argmax())
+        if where[k] and k < self.index:
+            self.index, self.message = k, message
+
+
+Node = Callable[[np.ndarray, _Faults], np.ndarray]
+
+
+def _map(scalar: Callable[..., float], faults: _Faults, *args: np.ndarray) -> np.ndarray:
+    """Apply a scalar function element by element up to the first fault; a
+    ValueError or OverflowError it raises becomes the new first fault."""
+    out = [math.nan] * args[0].size
+    for i, row in zip(range(faults.index), zip(*(a.tolist() for a in args))):
+        try:
+            out[i] = scalar(*row)
+        except (ValueError, OverflowError) as exc:
+            faults.index, faults.message = i, str(exc)
+            break
+    return np.array(out, dtype=float)
+
+
+def _elementwise(scalar: Callable[[float], float]) -> Node:
+    return lambda x, faults: _map(scalar, faults, x)
+
+
+def _trig(ufunc: np.ufunc) -> Node:
+    def op(x: np.ndarray, faults: _Faults) -> np.ndarray:
+        faults.mark(np.isinf(x), "math domain error")  # as math.sin and math.cos raise
+        return ufunc(x)
+    return op
+
+
+_sin, _cos = _trig(np.sin), _trig(np.cos)
+
+
+def _reciprocal(fn: Node, name: str) -> Node:
+    def op(x: np.ndarray, faults: _Faults) -> np.ndarray:
+        d = fn(x, faults)
+        faults.mark(d == 0.0, f"{name} undefined")
+        return 1.0 / d
+    return op
+
+
+def _cot(x: np.ndarray, faults: _Faults) -> np.ndarray:
+    s = _sin(x, faults)
+    faults.mark(s == 0.0, "cot undefined")
+    return np.cos(x) / s
+
+
+def _sqrt(x: np.ndarray, faults: _Faults) -> np.ndarray:
+    faults.mark(x < 0.0, "sqrt of a negative value")
+    return np.sqrt(x)
+
+
+def _divide(left: np.ndarray, right: np.ndarray, faults: _Faults) -> np.ndarray:
+    faults.mark(right == 0.0, "division by zero")
+    return left / right
+
+
+# numpy's sin, cos, sqrt, abs and arithmetic give the same bits as math and
+# Python floats (tests/test_compile.py checks the ufuncs against math).  The
+# rest go element by element through the scalar functions: np.tan differs
+# from math.tan in the last bit at some points, and exp, log, powers,
+# hyperbolics and inverses are the constructed ones.  The lambdas look the
+# constructed functions up at call time, so wrapping them in this module
+# (as perfbench/layers.py does) sees every call.
+_FUNCTIONS = {
+    "sin": _sin,
+    "cos": _cos,
+    "tan": _elementwise(math.tan),
+    "sec": _reciprocal(_cos, "sec"),
+    "csc": _reciprocal(_sin, "csc"),
+    "cot": _cot,
+    "sinh": _elementwise(lambda x: hyperbolic("sinh", x, _EVAL_EPS)),
+    "cosh": _elementwise(lambda x: hyperbolic("cosh", x, _EVAL_EPS)),
+    "tanh": _elementwise(lambda x: hyperbolic("tanh", x, _EVAL_EPS)),
+    "exp": _elementwise(lambda x: exp_construct(x, _EVAL_EPS)),
+    "log": _elementwise(lambda x: log_construct(x, _EVAL_EPS).value),
+    "sqrt": _sqrt,
+    "abs": lambda x, faults: np.abs(x),
+    "atan": _elementwise(lambda x: inverse_fn("arctan", x, _EVAL_EPS)),
+    "asin": _elementwise(lambda x: inverse_fn("arcsin", x, _EVAL_EPS)),
+}
+
+_OPERATORS = {
+    "+": lambda left, right, faults: left + right,
+    "-": lambda left, right, faults: left - right,
+    "*": lambda left, right, faults: left * right,
+    "/": _divide,
+}
+
+
+def _power(base: float, expo: float) -> float:
+    """base^expo for one element: repeated multiplication for a small
+    integral exponent, the constructed pow otherwise."""
     if expo == expo and expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT:
         n = int(expo)
         out = 1.0
@@ -218,99 +336,94 @@ def _power(base: float, expo: float, t: float) -> float:
         if n >= 0:
             return out
         if out == 0.0:
-            raise EvaluationError(t, "zero raised to a negative power")
+            raise DomainError("zero raised to a negative power")
         return 1.0 / out
     if base == 0.0:
         if expo > 0.0:
             return 0.0
-        raise EvaluationError(t, "zero raised to a nonpositive power")
+        raise DomainError("zero raised to a nonpositive power")
     if base < 0.0:
-        raise EvaluationError(t, "negative base with non-integral exponent")
+        raise DomainError("negative base with non-integral exponent")
     return pow_construct(base, expo, _EVAL_EPS)
 
 
-def _apply(fname: str, x: float, t: float) -> float:
-    if fname == "sin":
-        return math.sin(x)
-    if fname == "cos":
-        return math.cos(x)
-    if fname == "tan":
-        return math.tan(x)
-    if fname == "sec":
-        c = math.cos(x)
-        if c == 0.0:
-            raise EvaluationError(t, "sec undefined")
-        return 1.0 / c
-    if fname == "csc":
-        s = math.sin(x)
-        if s == 0.0:
-            raise EvaluationError(t, "csc undefined")
-        return 1.0 / s
-    if fname == "cot":
-        s = math.sin(x)
-        if s == 0.0:
-            raise EvaluationError(t, "cot undefined")
-        return math.cos(x) / s
-    if fname == "exp":
-        return exp_construct(x, _EVAL_EPS)
-    if fname == "log":
-        return log_construct(x, _EVAL_EPS).value
-    if fname == "sqrt":
-        if x < 0.0:
-            raise EvaluationError(t, "sqrt of a negative value")
-        return math.sqrt(x)
-    if fname == "abs":
-        return abs(x)
-    if fname in ("sinh", "cosh", "tanh"):
-        return hyperbolic(fname, x, _EVAL_EPS)
-    if fname == "atan":
-        return inverse_fn("arctan", x, _EVAL_EPS)
-    if fname == "asin":
-        return inverse_fn("arcsin", x, _EVAL_EPS)
-    raise EvaluationError(t, f"unknown function {fname!r}")
+def _constant(e: Expr) -> Union[float, None]:
+    if isinstance(e, Constant):
+        return e.value
+    if isinstance(e, Unary):
+        value = _constant(e.child)
+        return None if value is None else -value
+    return None
+
+
+def _power_node(left: Node, right: Node, expo: Union[float, None]) -> Node:
+    if expo is None or not (expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT):
+        return lambda t, faults: _map(_power, faults, left(t, faults), right(t, faults))
+    n = int(expo)
+
+    def node(t: np.ndarray, faults: _Faults) -> np.ndarray:
+        base = left(t, faults)
+        out = np.ones(t.shape)
+        for _ in range(abs(n)):
+            out *= base
+        if n >= 0:
+            return out
+        faults.mark(out == 0.0, "zero raised to a negative power")
+        return 1.0 / out
+
+    return node
+
+
+def _compile(e: Expr) -> Node:
+    if isinstance(e, Constant):
+        value = e.value
+        return lambda t, faults: np.full(t.shape, value)
+    if isinstance(e, Var):
+        return lambda t, faults: t
+    if isinstance(e, Unary):
+        child = _compile(e.child)
+        return lambda t, faults: -child(t, faults)
+    if isinstance(e, Binary):
+        left, right = _compile(e.left), _compile(e.right)
+        if e.op == "^":
+            return _power_node(left, right, _constant(e.right))
+        if e.op not in _OPERATORS:
+            raise InvalidArgumentError(f"unknown operator {e.op!r}")
+        op = _OPERATORS[e.op]
+        return lambda t, faults: op(left(t, faults), right(t, faults), faults)
+    if isinstance(e, Call):
+        if e.fname not in _FUNCTIONS:
+            raise InvalidArgumentError(f"unknown function {e.fname!r}")
+        arg, fn = _compile(e.arg), _FUNCTIONS[e.fname]
+        return lambda t, faults: fn(arg(t, faults), faults)
+    raise InvalidArgumentError(f"unknown node {e!r}")
+
+
+def compile(e: Expr) -> ArrayFn:
+    """Turn a parsed tree into an integrand over float64 arrays of t.
+
+    The tree is walked once; the result evaluates every element with the
+    same rounding as a scalar evaluation at that point.  Domain violations
+    (log of a nonpositive value, division by zero, ...) raise
+    EvaluationError carrying the first t, in array order, at which one
+    occurred, with the message of the first violation at that t.
+    """
+    node = _compile(e)
+
+    def samples(t: np.ndarray) -> np.ndarray:
+        faults = _Faults(t.size)
+        with np.errstate(all="ignore"):
+            out = node(t, faults)
+        if faults.index < t.size:
+            raise EvaluationError(float(t[faults.index]), faults.message)
+        return out
+
+    return ArrayFn(samples)
 
 
 def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate a parsed expression at t.
-
-    Domain violations (log of a nonpositive value, division by zero, ...)
-    surface as EvaluationError carrying t rather than leaking the
-    exception types of the underlying constructions.
-    """
-    if isinstance(e, Constant):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Unary):
-        return -eval_expr(e.child, t)
-    if isinstance(e, Binary):
-        left = eval_expr(e.left, t)
-        right = eval_expr(e.right, t)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            if right == 0.0:
-                raise EvaluationError(t, "division by zero")
-            return left / right
-        if e.op == "^":
-            try:
-                return _power(left, right, t)
-            except (ValueError, OverflowError) as exc:
-                raise EvaluationError(t, str(exc)) from exc
-        raise EvaluationError(t, f"unknown operator {e.op!r}")
-    if isinstance(e, Call):
-        x = eval_expr(e.arg, t)
-        try:
-            return _apply(e.fname, x, t)
-        except EvaluationError:
-            raise
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(t, str(exc)) from exc
-    raise EvaluationError(t, f"unknown node {e!r}")
+    """Evaluate a parsed expression at t: compile(e) on one point."""
+    return compile(e)(t)
 
 
 _PREC_ADD = 1

@@ -9,7 +9,9 @@ The Riemann sum of f over such a partition is
 evaluated left to right with compensated summation, so the result is the
 correctly rounded value of the exact sum of the computed terms.  Everything
 downstream (the integrator, the telescoping evaluators, the theorem checks)
-reduces to this one primitive.
+reduces to this one primitive.  An integrand is either a Python callable,
+sampled once per tag, or an ArrayFn, which takes all the tags of a sum in
+one call over a float64 array; the summation is the same for both.
 """
 
 from __future__ import annotations
@@ -23,6 +25,20 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError
 
 Fn = Callable[[float], float]
+
+
+class ArrayFn:
+    """An integrand that maps a float64 array of tags to its samples in one
+    call, raising EvaluationError for the first tag it cannot evaluate.
+    Called on a single float, it returns that one sample."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self.fn = fn
+
+    def __call__(self, x: float) -> float:
+        return float(self.fn(np.array([x], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -172,23 +188,39 @@ def mesh(partition: TaggedPartition) -> float:
 def riemann_sum(f: Fn, partition: TaggedPartition) -> float:
     """The definitional sum of f over the partition, compensated.
 
-    Terms f(xi_k) * width_k accumulate left to right through math.fsum, so
-    the only rounding is in the terms themselves.  A non-finite sample
-    raises EvaluationError naming the tag that produced it.
+    Terms f(xi_k) * width_k accumulate through math.fsum, so the only
+    rounding is in the terms themselves.  A callable is sampled tag by tag
+    and an ArrayFn in one call.  An EvaluationError from the integrand
+    passes through; any other failure (ValueError, OverflowError,
+    ZeroDivisionError or a non-finite sample) raises EvaluationError naming
+    the first tag that produced one.
     """
-    tags = partition.tags.tolist()
-    widths = np.diff(partition.points).tolist()
+    tags = partition.tags
+    samples = f.fn(tags) if isinstance(f, ArrayFn) else _scalar_samples(f, tags)
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        raise EvaluationError(float(tags[bad.argmax()]), "integrand sample is not finite")
+    terms = (samples * np.diff(partition.points)).tolist()
     try:
-        total = math.fsum(f(x) * w for x, w in zip(tags, widths))
+        return math.fsum(terms)
+    except (ValueError, OverflowError):  # inf - inf, or the sum overflows
+        return math.nan
+
+
+def _scalar_samples(f: Fn, tags: np.ndarray) -> np.ndarray:
+    xs = tags.tolist()
+    try:
+        return np.fromiter(map(f, xs), dtype=float, count=len(xs))
     except (ValueError, OverflowError, ZeroDivisionError):
-        total = math.nan
-    if not math.isfinite(total):
-        # rescan to attribute the failure to a specific tag
-        for x in tags:
-            try:
-                y = f(x)
-            except (ValueError, OverflowError, ZeroDivisionError) as exc:
-                raise EvaluationError(x, str(exc) or "integrand raised") from exc
-            if not math.isfinite(y):
-                raise EvaluationError(x, "integrand sample is not finite")
-    return total
+        pass
+    # rescan to attribute the failure to a specific tag
+    samples = []
+    for x in xs:
+        try:
+            y = f(x)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise EvaluationError(x, str(exc) or "integrand raised") from exc
+        if not math.isfinite(y):
+            raise EvaluationError(x, "integrand sample is not finite")
+        samples.append(y)
+    return np.array(samples, dtype=float)

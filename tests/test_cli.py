@@ -256,3 +256,64 @@ def test_left_rule_changes_result(capsys):
     v_mid = float(out_mid.splitlines()[1].split(",")[0])
     v_left = float(out_left.splitlines()[1].split(",")[0])
     assert v_left < v_mid  # left sums undershoot an increasing integrand
+
+
+def test_converge_rejects_n_from_above_the_cap(capsys):
+    code, out, err = run_cli(
+        capsys, "converge", "t^2", "0", "1", "--n-from", "256", "--n-to", "1024", "--max-n", "64"
+    )
+    assert code == 1
+    assert out == ""
+    assert "--n-from must not exceed the refinement cap 64, got 256" in err
+
+
+def test_converge_rejects_n_from_above_the_env_cap(capsys, monkeypatch):
+    monkeypatch.setenv("RF_MAX_N", "128")
+    code, _, err = run_cli(capsys, "converge", "t^2", "0", "1", "--n-from", "256")
+    assert code == 1
+    assert "refinement cap 128" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("converge", "t^2", "0", "1", "--tol", "1e-6"),
+        ("eval", "log", "2", "--tol", "1e-6"),
+        ("integrate", "t^2", "0", "1", "--seed", "3"),
+        ("converge", "t^2", "0", "1", "--seed", "3"),
+        ("eval", "log", "2", "--seed", "3"),
+    ],
+)
+def test_options_only_where_used(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_parser_is_built_once_and_leaks_nothing(capsys):
+    import rfcalc.cli as cli
+
+    sequence = [
+        ("verify", "--filter", "functional", "--output", "csv", "--seed", "7"),
+        ("verify", "--filter", "functional", "--output", "csv"),
+        ("integrate", "t^2", "0", "1", "--rule", "left", "--tol", "1e-3", "--output", "csv"),
+        ("integrate", "t^2", "0", "1", "--output", "csv"),
+        ("converge", "cos(t)", "0", "1", "--n-to", "64", "--max-n", "64"),
+        ("converge", "cos(t)", "0", "1", "--n-to", "64"),
+        ("eval", "log", "2", "--eps", "1e-6"),
+        ("eval", "log", "2"),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert all(code == 0 for code, _, _ in reused)
+    # verify without --seed still samples with seed 42
+    assert reused[1] == run_cli(capsys, "verify", "--filter", "functional", "--output", "csv",
+                                "--seed", "42")
+    assert reused[0][1] != reused[1][1]
