@@ -32,8 +32,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .expr import compile, parse
-from .expr import eval_expr  # noqa: F401  (perfbench/layers.py hooks cli.eval_expr)
+from .expr import eval_expr, parse
 from .integrator import (
     DEFAULT_MAX_N,
     IntegrationResult,
@@ -41,7 +40,7 @@ from .integrator import (
     integrate,
     integrate_improper,
 )
-from .partitions import LEFT, MIDPOINT, RIGHT, TagRule
+from .partitions import LEFT, MIDPOINT, RIGHT, ArrayFn, TagRule
 from .theorems import (
     CheckReport,
     derivative_table_check,
@@ -140,10 +139,17 @@ def _emit_integration(result: IntegrationResult, output: str) -> None:
         }, indent=2))
 
 
+def _integrand(text: str) -> ArrayFn:
+    """The expression as an array integrand: each Riemann sum evaluates it
+    at all of its tags in one eval_expr call."""
+    tree = parse(text)
+    return ArrayFn(lambda tags: eval_expr(tree, tags))
+
+
 def _cmd_integrate(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     cfg = _config(args, "human")
-    f = compile(parse(args.expr))
+    f = _integrand(args.expr)
     rule = _RULES[cfg.rule]
     if args.improper is not None:
         result = integrate_improper(
@@ -217,7 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     cfg = _config(args, "csv")
-    f = compile(parse(args.expr))
+    f = _integrand(args.expr)
     if args.n_from < 1:
         raise InvalidArgumentError(f"--n-from must be >= 1, got {args.n_from}")
     if args.n_to < args.n_from:

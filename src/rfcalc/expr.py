@@ -8,8 +8,9 @@ arithmetic, sqrt, abs, sin and cos (and sec, csc, cot from them) as numpy
 ops, and tan, exp, log, non-integral powers, hyperbolics and inverse
 functions element by element through math.tan and the constructive
 implementations.  Each element gets the same bits, and the same domain
-errors, as evaluating the tree at that point alone, which is what
-eval_expr(e, t) does.
+errors, as evaluating the tree at that point alone, provided numpy's sin
+and cos give math's bits (tests/test_compile.py checks that they do).
+eval_expr(e, t) compiles e and applies it to a float or an array of t.
 """
 
 from __future__ import annotations
@@ -421,9 +422,11 @@ def compile(e: Expr) -> ArrayFn:
     return ArrayFn(samples)
 
 
-def eval_expr(e: Expr, t: float) -> float:
-    """Evaluate a parsed expression at t: compile(e) on one point."""
-    return compile(e)(t)
+def eval_expr(e: Expr, t: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Evaluate a parsed expression at t, a float or a float64 array of
+    points: compile(e) applied to it."""
+    f = compile(e)
+    return f.fn(t) if isinstance(t, np.ndarray) else f(t)
 
 
 _PREC_ADD = 1

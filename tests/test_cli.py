@@ -317,3 +317,23 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
     assert reused[1] == run_cli(capsys, "verify", "--filter", "functional", "--output", "csv",
                                 "--seed", "42")
     assert reused[0][1] != reused[1][1]
+
+
+@pytest.mark.parametrize("command", ["integrate", "converge"])
+def test_each_riemann_sum_evaluates_its_tags_in_one_eval_expr_call(capsys, monkeypatch, command):
+    import rfcalc.cli as cli
+
+    sizes = []
+    real = cli.eval_expr
+
+    def counted(e, t):
+        sizes.append(t.size)
+        return real(e, t)
+
+    monkeypatch.setattr(cli, "eval_expr", counted)
+    code, out, _ = run_cli(capsys, command, "t^2", "0", "1", "--output", "json")
+    assert code == 0
+    if command == "integrate":
+        assert sum(sizes) == json.loads(out)["evaluations"]
+    else:
+        assert sizes == [row[0] for row in json.loads(out)["rows"]]
