@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .elementary import (
@@ -35,7 +34,6 @@ from .errors import (
 from .expr import eval_expr, parse
 from .integrator import (
     DEFAULT_MAX_N,
-    IntegrationResult,
     convergence_report,
     integrate,
     integrate_improper,
@@ -55,15 +53,6 @@ _RULES: dict[str, TagRule] = {"left": LEFT, "right": RIGHT, "midpoint": MIDPOINT
 
 _MAX_N_FLOOR = 2 ** 6
 _MAX_N_CEIL = 2 ** 26
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run settings shared by the subcommands."""
-
-    max_n: int
-    rule: str
-    output: str
 
 
 class _UsageError(Exception):
@@ -96,11 +85,6 @@ def _resolve_max_n(flag_value: Optional[int]) -> int:
     return n
 
 
-def _config(args: argparse.Namespace, default_output: str) -> CliConfig:
-    output = args.output if args.output is not None else default_output
-    return CliConfig(_resolve_max_n(args.max_n), args.rule, output)
-
-
 def _tolerance(args: argparse.Namespace) -> float:
     if not args.tol > 0:
         raise InvalidArgumentError(f"--tol must be positive, got {args.tol}")
@@ -111,32 +95,25 @@ def _f9(v: float) -> str:
     return format(v, ".9g")
 
 
-def _f17(v: float) -> str:
-    return format(v, ".17g")
+def _csv_cell(v: object) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
 
 
-def _emit_integration(result: IntegrationResult, output: str) -> None:
+def _emit_record(record: dict, output: str, human: str) -> None:
+    """One result: CSV header plus row, indented JSON, or the human text."""
     if output == "human":
-        print(f"value {_f9(result.value)}")
-        print(f"error estimate {_f9(result.error_estimate)}")
-        print(f"n {result.n_final}")
-        print(f"evaluations {result.evaluations}")
-        print(f"converged {'yes' if result.converged else 'no'}")
+        print(human)
     elif output == "csv":
-        print("value,error_estimate,n_final,evaluations,converged")
-        print(
-            f"{_f17(result.value)},{_f17(result.error_estimate)},"
-            f"{result.n_final},{result.evaluations},"
-            f"{'true' if result.converged else 'false'}"
-        )
+        print(",".join(record))
+        print(",".join(_csv_cell(v) for v in record.values()))
     else:
-        print(json.dumps({
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "n_final": result.n_final,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-        }, indent=2))
+        print(json.dumps(record, indent=2))
 
 
 def _integrand(text: str) -> ArrayFn:
@@ -148,18 +125,34 @@ def _integrand(text: str) -> ArrayFn:
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    cfg = _config(args, "human")
+    max_n = _resolve_max_n(args.max_n)
     f = _integrand(args.expr)
-    rule = _RULES[cfg.rule]
+    rule = _RULES[args.rule]
     if args.improper is not None:
         result = integrate_improper(
-            f, args.a, args.b, args.improper, tol, rule=rule, max_n=cfg.max_n
+            f, args.a, args.b, args.improper, tol, rule=rule, max_n=max_n
         )
     else:
-        result = integrate(f, args.a, args.b, tol, rule=rule, max_n=cfg.max_n)
-    _emit_integration(result, cfg.output)
+        result = integrate(f, args.a, args.b, tol, rule=rule, max_n=max_n)
+    _emit_record(
+        {
+            "value": result.value,
+            "error_estimate": result.error_estimate,
+            "n_final": result.n_final,
+            "evaluations": result.evaluations,
+            "converged": result.converged,
+        },
+        args.output,
+        "\n".join([
+            f"value {_f9(result.value)}",
+            f"error estimate {_f9(result.error_estimate)}",
+            f"n {result.n_final}",
+            f"evaluations {result.evaluations}",
+            f"converged {'yes' if result.converged else 'no'}",
+        ]),
+    )
     if not result.converged:
-        print(f"did not converge within n <= {cfg.max_n}", file=sys.stderr)
+        print(f"did not converge within n <= {max_n}", file=sys.stderr)
         return 2
     return 0
 
@@ -192,7 +185,7 @@ def _emit_reports(reports: list[CheckReport], output: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    cfg = _config(args, "human")
+    _resolve_max_n(args.max_n)  # validated only: the catalog keeps its own cap
     # Finite-difference rows carry an h^2 truncation floor; pushing their
     # tolerance below 1e-5 would fail for reasons unrelated to the tower.
     fd_tol = max(tol, 1e-5)
@@ -215,31 +208,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.filter is not None:
         rest = [r for r in rest if args.filter in r.name]
     reports.extend(rest)
-    _emit_reports(reports, cfg.output)
+    _emit_reports(reports, args.output)
     if all(r.passed for r in reports):
         return 0
     return 3
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    cfg = _config(args, "csv")
+    max_n = _resolve_max_n(args.max_n)
     f = _integrand(args.expr)
     if args.n_from < 1:
         raise InvalidArgumentError(f"--n-from must be >= 1, got {args.n_from}")
     if args.n_to < args.n_from:
         raise InvalidArgumentError("--n-to must be >= --n-from")
-    if args.n_from > cfg.max_n:
+    if args.n_from > max_n:
         raise InvalidArgumentError(
-            f"--n-from must not exceed the refinement cap {cfg.max_n}, got {args.n_from}"
+            f"--n-from must not exceed the refinement cap {max_n}, got {args.n_from}"
         )
     ns = [args.n_from]
-    while ns[-1] * 2 <= min(args.n_to, cfg.max_n):
+    while ns[-1] * 2 <= min(args.n_to, max_n):
         ns.append(ns[-1] * 2)
 
-    report = convergence_report(f, args.a, args.b, _RULES[cfg.rule], ns, exact=args.exact)
-    if cfg.output == "csv":
+    report = convergence_report(f, args.a, args.b, _RULES[args.rule], ns, exact=args.exact)
+    if args.output == "csv":
         sys.stdout.write(report.to_csv())
-    elif cfg.output == "json":
+    elif args.output == "json":
         print(json.dumps({
             "rows": [[n, value, diff] for n, value, diff in report.rows],
             "estimated_order": report.estimated_order,
@@ -258,7 +251,6 @@ _EVAL_NAMES = ("log", "exp", "e", "pow") + _EVAL_HYPERBOLIC + _EVAL_INVERSE
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _config(args, "human")
     eps = args.eps
     if not eps > 0:
         raise InvalidArgumentError(f"--eps must be positive, got {eps}")
@@ -282,14 +274,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = hyperbolic(name, args.args[0], eps)
     else:
         value = inverse_fn(name, args.args[0], eps)
-    if cfg.output == "human":
-        note = "" if bound is None else f" (bound <= {bound:.3g})"
-        print(f"{value!r}{note}")
-    elif cfg.output == "csv":
-        print("fname,value,bound")
-        print(f"{name},{_f17(value)},{'' if bound is None else _f17(bound)}")
-    else:
-        print(json.dumps({"fname": name, "value": value, "bound": bound}, indent=2))
+    note = "" if bound is None else f" (bound <= {bound:.3g})"
+    _emit_record({"fname": name, "value": value, "bound": bound}, args.output, f"{value!r}{note}")
     return 0
 
 
@@ -298,13 +284,19 @@ def _add_tol(sub: argparse.ArgumentParser, default: float) -> None:
                      help=f"target tolerance (default {default:g})")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_max_n(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-n", type=int, default=None, dest="max_n",
                      help="refinement cap, a power of two in [2^6, 2^26]")
+
+
+def _add_rule(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rule", choices=sorted(_RULES), default="midpoint",
                      help="tag rule for Riemann sums")
-    sub.add_argument("--output", choices=("human", "csv", "json"), default=None,
-                     help="report format (default human; converge: csv)")
+
+
+def _add_output(sub: argparse.ArgumentParser, default: str) -> None:
+    sub.add_argument("--output", choices=("human", "csv", "json"), default=default,
+                     help=f"report format (default {default})")
 
 
 @functools.lru_cache(maxsize=None)  # built on the first main() call, then reused
@@ -322,7 +314,9 @@ def _build_parser() -> _ArgumentParser:
     p_int.add_argument("--improper", choices=("lower", "upper"), default=None,
                        help="treat this endpoint as singular")
     _add_tol(p_int, 1e-8)
-    _add_common(p_int)
+    _add_max_n(p_int)
+    _add_rule(p_int)
+    _add_output(p_int, "human")
     p_int.set_defaults(func=_cmd_integrate)
 
     p_ver = commands.add_parser("verify", help="run the identity catalog and theorem checks")
@@ -330,7 +324,8 @@ def _build_parser() -> _ArgumentParser:
                        help="only run checks whose name contains this substring")
     p_ver.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
     _add_tol(p_ver, 1e-6)
-    _add_common(p_ver)
+    _add_max_n(p_ver)
+    _add_output(p_ver, "human")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_con = commands.add_parser("converge", help="tabulate Riemann sums over doubling n")
@@ -343,7 +338,9 @@ def _build_parser() -> _ArgumentParser:
                        help="last panel count (rounded down to the doubling ladder)")
     p_con.add_argument("--exact", type=float, default=None,
                        help="known exact value; diffs become true errors")
-    _add_common(p_con)
+    _add_max_n(p_con)
+    _add_rule(p_con)
+    _add_output(p_con, "csv")
     p_con.set_defaults(func=_cmd_converge)
 
     p_eval = commands.add_parser("eval", help="evaluate a constructed function directly")
@@ -351,7 +348,7 @@ def _build_parser() -> _ArgumentParser:
     p_eval.add_argument("args", type=float, nargs="*", help="numeric argument(s)")
     p_eval.add_argument("--eps", type=float, default=1e-12,
                         help="construction accuracy target")
-    _add_common(p_eval)
+    _add_output(p_eval, "human")
     p_eval.set_defaults(func=_cmd_eval)
 
     return parser

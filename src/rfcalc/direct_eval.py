@@ -60,12 +60,8 @@ def log_limit_bounds(x: float, n: int) -> SandwichPair:
     return SandwichPair(lower, upper)
 
 
-def exp_geometric_sum(b: float, p: float, q: float, n: int) -> float:
-    """Left Riemann sum of b^t over [p, q]: Delta * sum of b^{p+k Delta}.
-
-    The powers are built by iterated multiplication by b^Delta (a single
-    platform pow per call), which is the geometric-series structure itself.
-    """
+def _geometric_step(b: float, p: float, q: float, n: int) -> tuple[float, float]:
+    """Check a b^t sum over [p, q] in n cells; return (Delta, b^Delta)."""
     _require_positive_n(n)
     if math.isnan(b) or math.isinf(b) or b <= 0.0:
         raise InvalidArgumentError(f"base must be finite and positive, got {b}")
@@ -74,7 +70,16 @@ def exp_geometric_sum(b: float, p: float, q: float, n: int) -> float:
     if not p < q:
         raise InvalidArgumentError(f"need p < q, got p={p}, q={q}")
     delta = (q - p) / n
-    ratio = b ** delta
+    return delta, b ** delta
+
+
+def exp_geometric_sum(b: float, p: float, q: float, n: int) -> float:
+    """Left Riemann sum of b^t over [p, q]: Delta * sum of b^{p+k Delta}.
+
+    The powers are built by iterated multiplication by b^Delta (a single
+    platform pow per call), which is the geometric-series structure itself.
+    """
+    delta, ratio = _geometric_step(b, p, q, n)
     factors = np.full(n, ratio)
     factors[0] = b ** p
     return delta * math.fsum(factors.cumprod())
@@ -82,15 +87,7 @@ def exp_geometric_sum(b: float, p: float, q: float, n: int) -> float:
 
 def exp_geometric_closed_form(b: float, p: float, q: float, n: int) -> float:
     """(b^q - b^p) * Delta / (b^Delta - 1): the same sum in closed form."""
-    _require_positive_n(n)
-    if math.isnan(b) or math.isinf(b) or b <= 0.0:
-        raise InvalidArgumentError(f"base must be finite and positive, got {b}")
-    if b == 1.0:
-        raise InvalidArgumentError("base 1 makes the integrand constant; no series needed")
-    if not p < q:
-        raise InvalidArgumentError(f"need p < q, got p={p}, q={q}")
-    delta = (q - p) / n
-    ratio = b ** delta
+    delta, ratio = _geometric_step(b, p, q, n)
     if ratio == 1.0:
         raise InvalidArgumentError("step too small: b^Delta rounds to 1")
     return (b ** q - b ** p) * delta / (ratio - 1.0)
@@ -160,11 +157,23 @@ def _uniform_points(a: float, b: float, n: int) -> np.ndarray:
     return a + np.arange(n + 1) * ((b - a) / n)
 
 
-def telescope_sec2(x: float, n: int) -> float:
-    """sum sin(x/n) / (cos t_{k+1} cos t_k): collapses to tan x for every n."""
+def _require_within_half_pi(x: float, n: int) -> None:
     _require_positive_n(n)
     if math.isnan(x) or abs(x) >= 0.5 * math.pi:
         raise DomainError(f"need |x| < pi/2, got {x}")
+
+
+def _require_within_zero_pi(a: float, b: float, n: int) -> None:
+    _require_positive_n(n)
+    if math.isnan(a) or math.isnan(b) or not (0.0 < a < math.pi and 0.0 < b < math.pi):
+        raise DomainError(f"endpoints must lie in (0, pi), got [{a}, {b}]")
+    if not a < b:
+        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
+
+
+def telescope_sec2(x: float, n: int) -> float:
+    """sum sin(x/n) / (cos t_{k+1} cos t_k): collapses to tan x for every n."""
+    _require_within_half_pi(x, n)
     if x == 0.0:
         return 0.0
     c = np.cos(_uniform_points(0.0, x, n))
@@ -174,9 +183,7 @@ def telescope_sec2(x: float, n: int) -> float:
 
 def sec2_riemann_sum(x: float, n: int) -> float:
     """Left Riemann sum (x/n) * sum sec^2(t_k); tends to tan x."""
-    _require_positive_n(n)
-    if math.isnan(x) or abs(x) >= 0.5 * math.pi:
-        raise DomainError(f"need |x| < pi/2, got {x}")
+    _require_within_half_pi(x, n)
     if x == 0.0:
         return 0.0
     c = np.cos(_uniform_points(0.0, x, n)[:-1])
@@ -185,11 +192,7 @@ def sec2_riemann_sum(x: float, n: int) -> float:
 
 def telescope_csc2(a: float, b: float, n: int) -> float:
     """sum sin(h) / (sin t_k sin t_{k+1}) over [a, b]: equals cot a - cot b."""
-    _require_positive_n(n)
-    if math.isnan(a) or math.isnan(b) or not (0.0 < a < math.pi and 0.0 < b < math.pi):
-        raise DomainError(f"endpoints must lie in (0, pi), got [{a}, {b}]")
-    if not a < b:
-        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
+    _require_within_zero_pi(a, b, n)
     s = np.sin(_uniform_points(a, b, n))
     h = (b - a) / n
     return math.fsum(math.sin(h) / (s[1:] * s[:-1]))
@@ -197,20 +200,14 @@ def telescope_csc2(a: float, b: float, n: int) -> float:
 
 def csc2_riemann_sum(a: float, b: float, n: int) -> float:
     """Left Riemann sum of csc^2 over [a, b]; tends to cot a - cot b."""
-    _require_positive_n(n)
-    if math.isnan(a) or math.isnan(b) or not (0.0 < a < math.pi and 0.0 < b < math.pi):
-        raise DomainError(f"endpoints must lie in (0, pi), got [{a}, {b}]")
-    if not a < b:
-        raise InvalidArgumentError(f"need a < b, got a={a}, b={b}")
+    _require_within_zero_pi(a, b, n)
     s = np.sin(_uniform_points(a, b, n)[:-1])
     return ((b - a) / n) * math.fsum(1.0 / (s * s))
 
 
 def sectan_telescope(x: float, n: int) -> float:
     """sum (cos t_k - cos t_{k+1}) / (cos t_k cos t_{k+1}): equals sec x - 1."""
-    _require_positive_n(n)
-    if math.isnan(x) or abs(x) >= 0.5 * math.pi:
-        raise DomainError(f"need |x| < pi/2, got {x}")
+    _require_within_half_pi(x, n)
     if x == 0.0:
         return 0.0
     c = np.cos(_uniform_points(0.0, x, n))
@@ -219,9 +216,7 @@ def sectan_telescope(x: float, n: int) -> float:
 
 def sectan_riemann_sum(x: float, n: int) -> float:
     """Left Riemann sum (x/n) * sum sec(t_k) tan(t_k); tends to sec x - 1."""
-    _require_positive_n(n)
-    if math.isnan(x) or abs(x) >= 0.5 * math.pi:
-        raise DomainError(f"need |x| < pi/2, got {x}")
+    _require_within_half_pi(x, n)
     if x == 0.0:
         return 0.0
     t = _uniform_points(0.0, x, n)[:-1]

@@ -84,16 +84,16 @@ def integrate(
             -r.value, r.error_estimate, r.n_final, r.evaluations, r.converged,
             tuple((n, -v) for n, v in r.trace),
         )
+    interval = Interval(a, b)
     # Below the resolution of the grid itself there is nothing to refine.
     if a + (b - a) / 8.0 <= a:
-        v = f(a + (b - a) * 0.5) * (b - a)
+        v = riemann_sum(f, uniform_partition(interval, 1, rule))
         return IntegrationResult(v, abs(v), 1, 1, True, ((1, v),))
 
     n = max(1, min(n0, max_n))
     prev: float | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0
-    interval = Interval(a, b)
     partition = uniform_partition(interval, n, rule)
     while True:
         s = riemann_sum(f, partition)

@@ -61,24 +61,27 @@ class Interval:
 
 @dataclass(frozen=True)
 class TagRule:
-    """How to place the tag inside each cell.
+    """How to place the tag inside each cell: place maps the partition
+    points to one tag per cell.
 
     The three standard placements are module constants LEFT, RIGHT and
     MIDPOINT; custom_rule wraps an arbitrary per-cell tag function.
     """
 
     name: str
-    fn: Callable[[float, float], float] | None = None
+    place: Callable[[np.ndarray], np.ndarray]
 
 
-LEFT = TagRule("left")
-RIGHT = TagRule("right")
-MIDPOINT = TagRule("midpoint")
+LEFT = TagRule("left", lambda p: p[:-1])
+RIGHT = TagRule("right", lambda p: p[1:])
+MIDPOINT = TagRule("midpoint", lambda p: 0.5 * (p[:-1] + p[1:]))
 
 
 def custom_rule(fn: Callable[[float, float], float]) -> TagRule:
     """A rule whose tag for cell [lo, hi] is fn(lo, hi); validated eagerly."""
-    return TagRule("custom", fn)
+    return TagRule("custom", lambda p: np.fromiter(
+        (fn(lo, hi) for lo, hi in zip(p[:-1], p[1:])), dtype=float, count=p.size - 1
+    ))
 
 
 class TaggedPartition:
@@ -133,23 +136,6 @@ class TaggedPartition:
         return f"TaggedPartition(n={self.n}, [{self.a}, {self.b}])"
 
 
-def _apply_rule(points: np.ndarray, rule: TagRule) -> np.ndarray:
-    if rule.name == "left":
-        return points[:-1]
-    if rule.name == "right":
-        return points[1:]
-    if rule.name == "midpoint":
-        return 0.5 * (points[:-1] + points[1:])
-    if rule.name == "custom":
-        assert rule.fn is not None
-        return np.fromiter(
-            (rule.fn(lo, hi) for lo, hi in zip(points[:-1], points[1:])),
-            dtype=float,
-            count=points.size - 1,
-        )
-    raise InvalidArgumentError(f"unknown tag rule {rule.name!r}")
-
-
 def uniform_partition(interval: Interval, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
     """Equal-width partition with points t_k = a + k*(b-a)/n.
 
@@ -162,7 +148,7 @@ def uniform_partition(interval: Interval, n: int, rule: TagRule = MIDPOINT) -> T
         raise InvalidArgumentError("uniform partition needs a < b")
     h = (interval.b - interval.a) / n
     points = interval.a + np.arange(n + 1, dtype=float) * h
-    return TaggedPartition(points, _apply_rule(points, rule))
+    return TaggedPartition(points, rule.place(points))
 
 
 def geometric_partition(p: float, q: float, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
@@ -177,7 +163,7 @@ def geometric_partition(p: float, q: float, n: int, rule: TagRule = MIDPOINT) ->
         raise InvalidArgumentError(f"need 0 < p < q, got p={p}, q={q}")
     ratio = q / p
     points = p * np.power(ratio, np.arange(n + 1, dtype=float) / n)
-    return TaggedPartition(points, _apply_rule(points, rule))
+    return TaggedPartition(points, rule.place(points))
 
 
 def mesh(partition: TaggedPartition) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .elementary import (
     e_const,
@@ -50,6 +50,19 @@ class CheckReport:
 def make_report(name: str, lhs: float, rhs: float, tol: float, anchor: str) -> CheckReport:
     diff = abs(lhs - rhs)
     return CheckReport(name, lhs, rhs, diff, tol, diff <= tol, anchor)
+
+
+def _worst_report(
+    name: str, pairs: Iterable[tuple[float, float]], tol: float, anchor: str
+) -> CheckReport:
+    """The (got, want) pair farthest apart, the first on ties, as a report."""
+    worst = -1.0
+    lhs = rhs = 0.0
+    for got, want in pairs:
+        dev = abs(got - want)
+        if dev > worst:
+            worst, lhs, rhs = dev, got, want
+    return CheckReport(name, lhs, rhs, worst, tol, worst <= tol, anchor)
 
 
 def reports_to_csv(reports: Sequence[CheckReport]) -> str:
@@ -155,18 +168,10 @@ def ftc_forward_check(
         grid.append(x - h)
         grid.append(x + h)
     values = cumulative(f, a, grid, tol / 2.0)
-    worst = -1.0
-    lhs = rhs = 0.0
-    for i, x in enumerate(points):
-        got = (values[2 * i + 1] - values[2 * i]) / (2.0 * h)
-        want = f(x)
-        dev = abs(got - want)
-        if dev > worst:
-            worst, lhs, rhs = dev, got, want
-    return CheckReport(
-        "ftc-forward", lhs, rhs, worst, tol, worst <= tol,
-        "d/dx int[a..x] f(t) dt = f(x)",
+    pairs = (
+        ((values[2 * i + 1] - values[2 * i]) / (2.0 * h), f(x)) for i, x in enumerate(points)
     )
+    return _worst_report("ftc-forward", pairs, tol, "d/dx int[a..x] f(t) dt = f(x)")
 
 
 def ftc_reverse_check(big_g: Fn, dg: Fn, a: float, b: float, tol: float) -> CheckReport:
@@ -192,15 +197,8 @@ def _central_diff(fn: Fn, x: float, h: float) -> float:
 def _max_deviation_report(
     name: str, fn: Fn, dfn: Fn, points: Sequence[float], tol: float, anchor: str
 ) -> CheckReport:
-    worst = -1.0
-    lhs = rhs = 0.0
-    for x in points:
-        got = _central_diff(fn, x, _diff_step(x))
-        want = dfn(x)
-        dev = abs(got - want)
-        if dev > worst:
-            worst, lhs, rhs = dev, got, want
-    return CheckReport(name, lhs, rhs, worst, tol, worst <= tol, anchor)
+    pairs = ((_central_diff(fn, x, _diff_step(x)), dfn(x)) for x in points)
+    return _worst_report(name, pairs, tol, anchor)
 
 
 def _interior_points(lo: float, hi: float, count: int) -> list[float]:
@@ -303,20 +301,15 @@ def functional_equation_check(
 ) -> CheckReport:
     """Worst |log(xy) - log x - log y| over seeded pairs in [2^-8, 2^8]."""
     rng = random.Random(seed)
-    worst = -1.0
-    lhs = rhs = 0.0
-    for _ in range(pairs):
-        x = 2.0 ** rng.uniform(-8.0, 8.0)
-        y = 2.0 ** rng.uniform(-8.0, 8.0)
-        combined = log_construct(x * y, 1e-12).value
-        split = log_construct(x, 1e-12).value + log_construct(y, 1e-12).value
-        dev = abs(combined - split)
-        if dev > worst:
-            worst, lhs, rhs = dev, combined, split
-    return CheckReport(
-        "log-functional-equation", lhs, rhs, worst, tol, worst <= tol,
-        "log(xy) = log x + log y",
-    )
+
+    def sampled() -> Iterator[tuple[float, float]]:
+        for _ in range(pairs):
+            x = 2.0 ** rng.uniform(-8.0, 8.0)
+            y = 2.0 ** rng.uniform(-8.0, 8.0)
+            yield (log_construct(x * y, 1e-12).value,
+                   log_construct(x, 1e-12).value + log_construct(y, 1e-12).value)
+
+    return _worst_report("log-functional-equation", sampled(), tol, "log(xy) = log x + log y")
 
 
 @dataclass(frozen=True)

@@ -282,6 +282,9 @@ def test_converge_rejects_n_from_above_the_env_cap(capsys, monkeypatch):
         ("integrate", "t^2", "0", "1", "--seed", "3"),
         ("converge", "t^2", "0", "1", "--seed", "3"),
         ("eval", "log", "2", "--seed", "3"),
+        ("eval", "log", "2", "--max-n", "64"),
+        ("eval", "log", "2", "--rule", "left"),
+        ("verify", "--rule", "left"),
     ],
 )
 def test_options_only_where_used(capsys, argv):

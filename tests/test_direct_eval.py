@@ -202,3 +202,32 @@ def test_trig_domain_guards():
 def test_sec2_telescope_n_invariance(n):
     # one x, every n: collapse means the value cannot depend on n
     assert telescope_sec2(0.7, n) == pytest.approx(math.tan(0.7), abs=1e-12)
+
+
+# (evaluator, valid arguments before n, index of the guarded argument,
+#  an out-of-domain value for it, the exception that value raises)
+_GUARDED = [
+    (exp_geometric_sum, (2.0, 0.0, 1.0), 0, -2.0, InvalidArgumentError),
+    (exp_geometric_closed_form, (2.0, 0.0, 1.0), 0, 1.0, InvalidArgumentError),
+    (telescope_sec2, (1.0,), 0, math.pi / 2.0, DomainError),
+    (sec2_riemann_sum, (1.0,), 0, -2.0, DomainError),
+    (sectan_telescope, (1.0,), 0, 1.6, DomainError),
+    (sectan_riemann_sum, (1.0,), 0, -1.6, DomainError),
+    (telescope_csc2, (0.5, 1.5), 1, math.pi, DomainError),
+    (csc2_riemann_sum, (0.5, 1.5), 0, 0.0, DomainError),
+]
+
+
+@pytest.mark.parametrize("bad", ["n=0", "nan", "outside"])
+@pytest.mark.parametrize(
+    "fn, args, at, outside, exc", _GUARDED, ids=[g[0].__name__ for g in _GUARDED]
+)
+def test_evaluator_guards(fn, args, at, outside, exc, bad):
+    args = list(args)
+    n = 8
+    if bad == "n=0":
+        n, exc = 0, InvalidArgumentError
+    else:
+        args[at] = math.nan if bad == "nan" else outside
+    with pytest.raises(exc):
+        fn(*args, n)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rfcalc.errors import DivergenceError, InvalidArgumentError
+from rfcalc.errors import DivergenceError, EvaluationError, InvalidArgumentError
 from rfcalc.integrator import (
     DEFAULT_MAX_N,
     ConvergenceReport,
@@ -13,7 +13,7 @@ from rfcalc.integrator import (
     integrate,
     integrate_improper,
 )
-from rfcalc.partitions import LEFT, MIDPOINT
+from rfcalc.partitions import LEFT, MIDPOINT, RIGHT
 
 
 def test_integrate_cubic():
@@ -57,6 +57,22 @@ def test_cells_below_an_ulp_stop_refinement_without_crashing():
     assert r.trace[-1] == (r.n_final, r.value)
     assert r.evaluations == sum(n for n, _ in r.trace)
     assert r.error_estimate == abs(r.trace[-1][1] - r.trace[-2][1])
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [(lambda t: 1 / t, 0.0, 5e-324), (lambda t: math.inf, 1.0, 1.0 + 2 ** -52)],
+    ids=["raises", "not-finite"],
+)
+def test_below_resolution_sample_is_checked(f, a, b):
+    # an interval too narrow to refine is one Riemann sum, sampled like any other
+    with pytest.raises(EvaluationError):
+        integrate(f, a, b, 1e-3)
+
+
+def test_below_resolution_honours_the_rule():
+    b = 1.0 + 2 ** -52
+    assert integrate(lambda t: t, 1.0, b, 1e-3, rule=RIGHT).value == b * 2 ** -52
 
 
 def test_bad_arguments():
