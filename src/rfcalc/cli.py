@@ -185,7 +185,6 @@ def _emit_reports(reports: list[CheckReport], output: str) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    _resolve_max_n(args.max_n)  # validated only: the catalog keeps its own cap
     # Finite-difference rows carry an h^2 truncation floor; pushing their
     # tolerance below 1e-5 would fail for reasons unrelated to the tower.
     fd_tol = max(tol, 1e-5)
@@ -324,7 +323,6 @@ def _build_parser() -> _ArgumentParser:
                        help="only run checks whose name contains this substring")
     p_ver.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
     _add_tol(p_ver, 1e-6)
-    _add_max_n(p_ver)
     _add_output(p_ver, "human")
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -6,8 +6,9 @@ n = 2^j the n-th root comes from repeated square roots, and the recurrence
 d' = d/(1 + sqrt(1 + d)) carries m^{1/n} - 1 itself, so forming
 n(m^{1/n} - 1) never subtracts nearly equal numbers.  exp inverts log by
 Newton's method from a polynomial start, each step one certified log call,
-b^x = exp(x log b), hyperbolics are their defining quotients of exp, and
-the inverse functions bisect their monotone forward branches.
+b^x = exp(x log b), hyperbolics are their defining quotients of exp,
+arsinh/arcosh/artanh are closed forms through the certified log, and
+arcsin/arctan bisect platform sin/tan.
 
 math.log / math.exp / math.pow appear nowhere in this module; the test
 suite uses them as oracles, the implementation must not.  Platform
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidArgumentError
@@ -75,18 +75,9 @@ def _sandwich(m: float, budget: float) -> tuple[float, float]:
         j += 1
 
 
-_L2_LOCK = threading.Lock()
-_L2: ApproxValue | None = None
-
-
+@functools.lru_cache(maxsize=None)
 def _log2_enclosure() -> ApproxValue:
-    global _L2
-    if _L2 is None:
-        with _L2_LOCK:
-            if _L2 is None:
-                value, bound = _sandwich(2.0, _L2_TARGET)
-                _L2 = ApproxValue(value, bound)
-    return _L2
+    return ApproxValue(*_sandwich(2.0, _L2_TARGET))
 
 
 def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
@@ -157,21 +148,8 @@ def exp_construct(y: float, eps: float = 1e-12) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _log_bracket_check() -> None:
-    # Inverting log on [2, 3] for e presumes log 2 < 1 < log 3; verify the
-    # enclosures actually witness it once per process.
-    two = log_construct(2.0, 1e-9)
-    three = log_construct(3.0, 1e-9)
-    if not (two.value + two.bound < 1.0 < three.value - three.bound):
-        raise RuntimeError("log enclosures failed the sanity check log 2 < 1 < log 3")
-
-
-@functools.lru_cache(maxsize=None)
 def e_const(eps: float = 1e-12) -> float:
     """The number characterized by log e = 1."""
-    if not eps > 0:
-        raise InvalidArgumentError(f"eps must be positive, got {eps}")
-    _log_bracket_check()
     return exp_construct(1.0, eps)
 
 
@@ -223,36 +201,32 @@ def hyperbolic(kind: str, x: float, eps: float = 1e-14) -> float:
     return sign * (1.0 + 2.0 / (e * e - 1.0))  # coth
 
 
-def _forward_map(kind: str):
-    if kind == "arcsin":
-        return lambda t, _eps: math.sin(t)
-    if kind == "arctan":
-        return lambda t, _eps: math.tan(t)
-    if kind == "arsinh":
-        return lambda t, fwd_eps: hyperbolic("sinh", t, fwd_eps)
-    if kind == "arcosh":
-        return lambda t, fwd_eps: hyperbolic("cosh", t, fwd_eps)
-    return lambda t, fwd_eps: hyperbolic("tanh", t, fwd_eps)  # artanh
-
-
 def _bisect_increasing(forward, lo: float, hi: float, target: float, eps: float) -> float:
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fwd_eps = max(1e-15, (hi - lo) / 64.0)
-        if forward(mid, fwd_eps) < target:
+        if forward(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def inverse_fn(kind: str, y: float, eps: float = 1e-12) -> float:
-    """Principal-branch inverse by bisection of the monotone forward map.
+# Above this, sqrt(y^2 +- 1) rounds to y, and arsinh y and arcosh y differ
+# from log 2y by under 1/(4y^2) = 2^-56; log y + log 2 keeps y^2 from overflow.
+_INVERSE_LARGE = 2.0 ** 27
 
-    arcsin/arctan invert platform sin/tan; arsinh/arcosh/artanh invert the
-    constructed hyperbolics.  Domain violations raise DomainError.
+
+def inverse_fn(kind: str, y: float, eps: float = 1e-12) -> float:
+    """Principal-branch inverse, to absolute accuracy ~eps.
+
+    arcsin/arctan bisect platform sin/tan.  arsinh, arcosh and artanh are
+    closed forms through the certified log, one log call each:
+    log(y + sqrt(y^2 + 1)), log(y + sqrt((y - 1)(y + 1))) and
+    log((1 + y)/(1 - y))/2, with y - 1 and 1 - y exact where they cancel;
+    above 2^27 the first two are log y + log 2.
+    Domain violations raise DomainError.
     """
     if not eps > 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
@@ -264,39 +238,34 @@ def inverse_fn(kind: str, y: float, eps: float = 1e-12) -> float:
     if kind == "arcosh":
         if y < 1.0:
             raise DomainError(f"arcosh requires y >= 1, got {y}")
-        if y == 1.0:
-            return 0.0
     elif kind == "arcsin":
         if abs(y) > 1.0:
             raise DomainError(f"arcsin requires |y| <= 1, got {y}")
     elif kind == "artanh":
         if abs(y) >= 1.0:
             raise DomainError(f"artanh requires |y| < 1, got {y}")
-    if y == 0.0 and kind != "arcosh":
+    if y == 0.0:
         return 0.0
 
     # Odd branches reduce to y > 0; arcosh is one-sided already.
     sign = 1.0 if (y > 0.0 or kind == "arcosh") else -1.0
     target = abs(y)
-    forward = _forward_map(kind)
 
     if kind == "arcsin":
         if target == 1.0:
             return sign * (0.5 * math.pi)
-        return sign * _bisect_increasing(forward, 0.0, 0.5 * math.pi, target, eps)
+        return sign * _bisect_increasing(math.sin, 0.0, 0.5 * math.pi, target, eps)
     if kind == "arctan":
         hi = 0.5 * math.pi  # fp value is below the true pole; tan there is huge
         if target >= math.tan(hi):
             return sign * hi
-        return sign * _bisect_increasing(forward, 0.0, hi, target, eps)
-
-    # Hyperbolic inverses: grow the bracket until the forward map clears
-    # the target with relative slack, so growth-phase forward error cannot
-    # leave the answer outside [0, hi].
-    if kind == "artanh" and target > 1.0 - 1e-7:
-        hi = 45.0  # tanh here is within 1e-39 of 1, above every valid target
+        return sign * _bisect_increasing(math.tan, 0.0, hi, target, eps)
+    if kind == "artanh":
+        return sign * 0.5 * log_construct((1.0 + target) / (1.0 - target), 2.0 * eps).value
+    if target > _INVERSE_LARGE:
+        return sign * (log_construct(target, eps).value + _log2_enclosure().value)
+    if kind == "arsinh":
+        root = math.sqrt(target * target + 1.0)
     else:
-        hi = 1.0
-        while forward(hi, 1e-9) < target + 1e-8 * (1.0 + target):
-            hi *= 2.0
-    return sign * _bisect_increasing(forward, 0.0, hi, target, eps)
+        root = math.sqrt((target - 1.0) * (target + 1.0))
+    return sign * log_construct(target + root, eps).value

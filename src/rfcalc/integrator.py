@@ -63,7 +63,6 @@ def integrate(
     tol: float,
     rule: TagRule = MIDPOINT,
     max_n: int = DEFAULT_MAX_N,
-    n0: int = DEFAULT_N0,
 ) -> IntegrationResult:
     """Refine uniform Riemann sums of f over [a, b] until Cauchy-stable.
 
@@ -79,7 +78,7 @@ def integrate(
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0, True, ())
     if a > b:
-        r = integrate(f, b, a, tol, rule, max_n, n0)
+        r = integrate(f, b, a, tol, rule, max_n)
         return IntegrationResult(
             -r.value, r.error_estimate, r.n_final, r.evaluations, r.converged,
             tuple((n, -v) for n, v in r.trace),
@@ -90,7 +89,7 @@ def integrate(
         v = riemann_sum(f, uniform_partition(interval, 1, rule))
         return IntegrationResult(v, abs(v), 1, 1, True, ((1, v),))
 
-    n = max(1, min(n0, max_n))
+    n = max(1, min(DEFAULT_N0, max_n))
     prev: float | None = None
     trace: list[tuple[int, float]] = []
     evaluations = 0

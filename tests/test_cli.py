@@ -147,9 +147,8 @@ def test_verify_filtered_pass(capsys):
 
 
 def test_verify_exit_3_on_failure(capsys):
-    # the cap forces a visible gap above an absurd tolerance
     code, out, _ = run_cli(
-        capsys, "verify", "--tol", "1e-15", "--filter", "cube", "--max-n", "4096"
+        capsys, "verify", "--tol", "1e-15", "--filter", "cube"
     )
     assert code == 3
     assert "FAIL cube-integral" in out
@@ -245,6 +244,12 @@ def test_eval_json(capsys):
     assert doc["value"] == pytest.approx(math.sinh(1.0), rel=1e-11)
 
 
+def test_eval_artanh_near_one(capsys):
+    code, out, _ = run_cli(capsys, "eval", "artanh", "0.999999")
+    assert code == 0
+    assert float(out) == pytest.approx(math.atanh(0.999999), abs=1e-12)
+
+
 def test_left_rule_changes_result(capsys):
     _, out_mid, _ = run_cli(
         capsys, "integrate", "t^2", "0", "1", "--tol", "1e-4", "--output", "csv"
@@ -285,6 +290,7 @@ def test_converge_rejects_n_from_above_the_env_cap(capsys, monkeypatch):
         ("eval", "log", "2", "--max-n", "64"),
         ("eval", "log", "2", "--rule", "left"),
         ("verify", "--rule", "left"),
+        ("verify", "--max-n", "64"),
     ],
 )
 def test_options_only_where_used(capsys, argv):

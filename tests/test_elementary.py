@@ -4,8 +4,10 @@ math.log / math.exp / math.pow serve as oracles here; the implementation
 under test never calls them.
 """
 
+import ast
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -138,6 +140,11 @@ def test_e_const():
     assert e_const(1e-12) == pytest.approx(math.e, rel=1e-12)
 
 
+def test_e_const_rejects_nonpositive_eps():
+    with pytest.raises(InvalidArgumentError, match="eps must be positive, got 0.0"):
+        e_const(0.0)
+
+
 @given(
     st.floats(min_value=0.1, max_value=50.0),
     st.floats(min_value=-6.0, max_value=6.0),
@@ -228,3 +235,117 @@ def test_inverse_domains():
 
 def test_arcsin_hits_endpoint():
     assert inverse_fn("arcsin", 1.0) == pytest.approx(math.pi / 2.0, abs=1e-9)
+
+
+_INVERSE_ORACLES = {"arsinh": math.asinh, "arcosh": math.acosh, "artanh": math.atanh}
+_INVERSE_ARGUMENTS = {
+    "arsinh": st.floats(min_value=-1e15, max_value=1e15),
+    "arcosh": st.floats(min_value=1.0 + 2.0 ** -52, max_value=1e15),
+    "artanh": st.floats(min_value=-(1.0 - 2.0 ** -53), max_value=1.0 - 2.0 ** -53),
+}
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+@pytest.mark.parametrize("kind", sorted(_INVERSE_ARGUMENTS))
+@given(data=st.data())
+def test_hyperbolic_inverse_within_eps(kind, eps, data):
+    y = data.draw(_INVERSE_ARGUMENTS[kind])
+    want = _INVERSE_ORACLES[kind](y)
+    assert abs(inverse_fn(kind, y, eps) - want) <= eps + 2.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+@pytest.mark.parametrize("y", [1e154, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("kind", ["arsinh", "arcosh"])
+def test_hyperbolic_inverse_far_out(kind, y, eps):
+    # y^2 overflows here; the answer may carry the log's own error at y.
+    want = _INVERSE_ORACLES[kind](y)
+    floor = abs(log_construct(y, eps).value - math.log(y))
+    assert abs(inverse_fn(kind, y, eps) - want) <= eps + 2.0 * math.ulp(want) + floor
+
+
+def test_hyperbolic_inverse_work(monkeypatch):
+    calls = 0
+    real_log = elementary.log_construct
+
+    def counted_log(x, eps=1e-12):
+        nonlocal calls
+        calls += 1
+        return real_log(x, eps)
+
+    def forbidden(*args):
+        raise AssertionError(f"forward map called with {args}")
+
+    monkeypatch.setattr(elementary, "log_construct", counted_log)
+    monkeypatch.setattr(elementary, "hyperbolic", forbidden)
+    monkeypatch.setattr(elementary, "exp_construct", forbidden)
+    rng = random.Random(20261018)
+    draws = {
+        "arsinh": lambda: rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300, 300),
+        "arcosh": lambda: 1.0 + 10.0 ** rng.uniform(-15, 300),
+        "artanh": lambda: rng.choice((-1, 1)) * (1.0 - 10.0 ** rng.uniform(-15, 0)),
+    }
+    for kind, draw in draws.items():
+        for eps in (1e-9, 1e-12, 1e-14):
+            for _ in range(100):
+                calls = 0
+                inverse_fn(kind, draw(), eps)
+                assert calls <= 2
+
+
+def _bisect_reference(forward, lo, hi, target, eps):
+    # A fixed copy of the bisection behind arcsin and arctan, with its
+    # forward-eps argument, to hold their bits.
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if forward(mid, max(1e-15, (hi - lo) / 64.0)) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _trig_inverse_reference(kind, y, eps):
+    if y == 0.0:
+        return 0.0
+    sign = 1.0 if y > 0.0 else -1.0
+    target = abs(y)
+    if kind == "arcsin":
+        if target == 1.0:
+            return sign * (0.5 * math.pi)
+        return sign * _bisect_reference(lambda t, _eps: math.sin(t), 0.0, 0.5 * math.pi, target, eps)
+    hi = 0.5 * math.pi
+    if target >= math.tan(hi):
+        return sign * hi
+    return sign * _bisect_reference(lambda t, _eps: math.tan(t), 0.0, hi, target, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+def test_trig_inverses_keep_their_bits(eps):
+    rng = random.Random(7)
+    draws = {
+        "arcsin": lambda: rng.choice((rng.uniform(-1.0, 1.0), 1.0 - 10.0 ** rng.uniform(-16, 0), -1.0)),
+        "arctan": lambda: rng.choice((-1, 1)) * 10.0 ** rng.uniform(-20, 20),
+    }
+    for kind, draw in draws.items():
+        for _ in range(300):
+            y = draw()
+            assert inverse_fn(kind, y, eps) == _trig_inverse_reference(kind, y, eps), (kind, y)
+
+
+_IMPORTED = {"log", "log1p", "log2", "log10", "exp", "expm1", "pow", "asinh", "acosh", "atanh"}
+
+
+def test_elementary_imports_no_log_or_exp():
+    # The module builds these from the integral; math's versions are oracles only.
+    tree = ast.parse(open(elementary.__file__, encoding="utf-8").read())
+    found = [
+        f"line {node.lineno}: " + ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "math")
+        or (isinstance(node, ast.Attribute) and node.attr in _IMPORTED
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+    ]
+    assert found == []
