@@ -2,7 +2,8 @@
 
 Integration comes first: Riemann sums over tagged partitions, an n-doubling
 integrator with Cauchy stopping, and elementary functions built from
-integrals instead of libm: a certified log, exp by Newton's method on it,
+integrals instead of libm: a certified log (Simpson's sum on geometric
+partitions, enclosed by its remainder), exp by Newton's method on it,
 powers and hyperbolics from exp, the inverse hyperbolics as closed forms
 through the log, and arcsin/arctan by bisection.  Theorem checkers and an
 integral catalog turn the usual identities into reports with explicit

@@ -43,6 +43,7 @@ from .theorems import (
     CheckReport,
     derivative_table_check,
     functional_equation_check,
+    name_selected,
     product_chain_check,
     reports_to_csv,
     run_catalog,
@@ -188,9 +189,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Finite-difference rows carry an h^2 truncation floor; pushing their
     # tolerance below 1e-5 would fail for reasons unrelated to the tower.
     fd_tol = max(tol, 1e-5)
+    selected = functools.partial(name_selected, name_filter=args.filter)
     reports = run_catalog(tol, name_filter=args.filter)
     try:
-        shows = substitution_showcases(tol)
+        # The failure row below stands for the whole section, so a filter
+        # that selects it runs every showcase.
+        shows = substitution_showcases(
+            tol, None if selected("substitution-showcases") else args.filter)
     except HypothesisViolation as exc:
         # A tolerance below the fp floor makes the showcase hypothesis
         # checks unsatisfiable; that is a failing row, not a crash.
@@ -198,15 +203,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "substitution-showcases", math.nan, math.nan, math.inf,
             tol, False, str(exc).replace(",", ";"),
         )]
-    rest = (
-        derivative_table_check(fd_tol)
-        + product_chain_check(fd_tol)
-        + shows
-        + [functional_equation_check(args.seed)]
-    )
-    if args.filter is not None:
-        rest = [r for r in rest if args.filter in r.name]
-    reports.extend(rest)
+    reports += derivative_table_check(fd_tol, args.filter)
+    reports += product_chain_check(fd_tol, args.filter)
+    reports += [r for r in shows if selected(r.name)]
+    if selected("log-functional-equation"):
+        reports.append(functional_equation_check(args.seed))
     _emit_reports(reports, args.output)
     if all(r.passed for r in reports):
         return 0

@@ -1,20 +1,24 @@
 """Elementary functions grown out of the integral, not imported.
 
-log is delivered as a certified enclosure: geometric partitions of [1, m]
-pinch log m between n(m^{1/n} - 1)/m^{1/n} and n(m^{1/n} - 1).  With
-n = 2^j the n-th root comes from repeated square roots, and the recurrence
-d' = d/(1 + sqrt(1 + d)) carries m^{1/n} - 1 itself, so forming
-n(m^{1/n} - 1) never subtracts nearly equal numbers.  exp inverts log by
-Newton's method from a polynomial start, each step one certified log call,
-b^x = exp(x log b), hyperbolics are their defining quotients of exp,
-arsinh/arcosh/artanh are closed forms through the certified log, and
-arcsin/arctan bisect platform sin/tan.
+log is delivered as a certified enclosure built on geometric partitions of
+[1, m]: every cell has the same ratio m^{1/n}, so the left, midpoint and
+right Riemann sums of 1/t have closed forms, and Simpson's combination of
+them, enclosed by its Peano remainder, pins log m to within about
+L^6/(24 n^5).  With n = 2^j the n-th root comes from repeated square
+roots, and the recurrence d' = d/(1 + sqrt(1 + d)) carries m^{1/n} - 1
+itself, so the sums never subtract nearly equal numbers; about six steps
+reach the rounding floor.  exp inverts log by Newton's method from a
+polynomial start, each step one certified log call, b^x = exp(x log b),
+hyperbolics are their defining quotients of exp, arsinh/arcosh/artanh are
+closed forms through the certified log, and arcsin/arctan bisect platform
+sin/tan.
 
 math.log / math.exp / math.pow appear nowhere in this module; the test
 suite uses them as oracles, the implementation must not.  Platform
 sin/cos/tan are accepted as given primitives (forward maps for the
 inverse-trig bisections), and sqrt is the one rounded algebraic operation
-the construction leans on.
+the construction leans on.  Powers are written as products: x ** y would
+call platform pow unless both sides are literals.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InvalidArgumentError
 
 _ULP = 2.0 ** -53
-_SANDWICH_MAX_J = 60
-_L2_TARGET = 5e-14
+_SQRT_HALF = 0.7071067811865476  # sqrt(1/2); log_construct reduces into [it, 2 it)
 
 # Overflow/underflow cutoffs of exp for IEEE doubles.
 _EXP_OVERFLOW = 709.782712893384
@@ -51,43 +54,78 @@ class ApproxValue:
 
 
 def _sandwich(m: float, budget: float) -> tuple[float, float]:
-    """Enclose log m for m in [1, 2]; returns (midpoint, certified bound).
+    """Enclose log m for m in [sqrt(1/2), 2]; returns (midpoint, certified bound).
 
-    Stops once half-gap plus rounding margin fits the budget, or at the
-    point where the margin stops further doubling from helping.
+    The geometric partition of [1, m] into n = 2^j cells has one ratio
+    q = 1 + d = m^(1/n), carried by d' = d/(1 + sqrt(1 + d)) from the exact
+    d = m - 1.  The left, midpoint and right terms of 1/t on every cell are
+    d, d/(1 + d/2) and d/q, so Simpson's sum is
+    S = n(d + 4d/(1 + d/2) + d/q)/6.  The fourth derivative of 1/t is
+    24/t^5, so Peano's remainder gives log m = S - n d^5/(120 xi^5) for
+    some xi between 1 and q, and log m lies in
+    [S - n d^5/120, S - n d^5/(120 q^5)] for either sign of d.  The value
+    is the midpoint of that interval; its half-width
+    n d^6 (5 + 10d + 10d^2 + 5d^3 + d^4)/(240 q^5), about L^6/(24 n^5) with
+    L = log m, falls 32-fold per halving.
+
+    Rounding margin, with u = 2^-53, relative to the value since every
+    error below is: a recurrence step rounds 1 + d, the root, 1 + root and
+    the quotient, at most 2.83u of d (1 + root is over 1.8, which shrinks
+    the first two), and passes on the error d already has by a factor of
+    at most 1 + |d|/3 for d < 0 and at most 1 for d > 0; as d halves each
+    step these factors multiply to under 1.1, so d is off by at most 3.1ju
+    after j steps, and log m, whose relative change is at most 1.1 times
+    d's once j >= 1, by 3.4ju.  Simpson's sum takes two roundings per
+    quotient, two additions of terms of one sign and the division by 6:
+    5u.  The Peano correction is under 1% of S, so its own rounding is
+    negligible, and the final subtraction adds u.  The margin
+    (4j + 8)u|value| covers these with room for second-order terms.
+
+    Stops once the bound fits the budget, or at the rounding floor: when
+    the half-width is at most 4u|value|, the margin that one more halving
+    adds, no further step can lower the bound.
     """
-    d = m - 1.0  # exact for m in [1, 2]
+    d = m - 1.0  # exact for m in [1/2, 2]
     j = 0
-    best_value = 0.0
-    best_bound = math.inf
     while True:
-        upper = math.ldexp(d, j)  # n(m^{1/n} - 1) with n = 2^j
-        lower = upper / (1.0 + d)  # n(1 - m^{-1/n})
-        gap = upper - lower
-        margin = (3.0 * j + 8.0) * _ULP * (1.0 + upper)
-        bound = 0.5 * gap + margin
-        if bound < best_bound:
-            best_bound = bound
-            best_value = lower + 0.5 * gap
-        if best_bound <= budget or j >= _SANDWICH_MAX_J or d == 0.0:
-            return best_value, best_bound
-        d = d / (1.0 + math.sqrt(1.0 + d))
+        q = 1.0 + d
+        d2 = d * d
+        q2 = q * q
+        q5 = q2 * q2 * q
+        simpson = (d + 4.0 * d / (1.0 + 0.5 * d) + d / q) / 6.0
+        # The midpoint and half-width of [S - n d^5/120, S - n d^5/(120 q^5)].
+        value = math.ldexp(simpson - d2 * d2 * d * (1.0 + 1.0 / q5) / 240.0, j)
+        half = math.ldexp(
+            d2 * d2 * d2 * (5.0 + d * (10.0 + d * (10.0 + d * (5.0 + d)))) / (240.0 * q5), j)
+        step = 4.0 * _ULP * abs(value)
+        bound = half + (j + 2.0) * step
+        if bound <= budget or half <= step:
+            return value, bound
+        d = d / (1.0 + math.sqrt(q))
         j += 1
+
+
+# 2 = (1 - 2^-64)^-1 (1 + 2^-1)(1 + 2^-2)(1 + 2^-4)...(1 + 2^-32): every
+# factor is a dyadic, so no input rounds, and -log(1 - 2^-64) < 2^-63.
+_LOG2_FACTORS = (1.5, 1.25, 1.0625, 1.0 + 2.0 ** -8, 1.0 + 2.0 ** -16, 1.0 + 2.0 ** -32)
 
 
 @functools.lru_cache(maxsize=None)
 def _log2_enclosure() -> ApproxValue:
-    return ApproxValue(*_sandwich(2.0, _L2_TARGET))
+    parts = [_sandwich(f, 0.0) for f in _LOG2_FACTORS]
+    value = math.fsum(v for v, _ in parts)
+    return ApproxValue(value, sum(b for _, b in parts) + 2.0 ** -63 + _ULP * value)
 
 
 def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
-    """Certified log x from the geometric-partition sandwich.
+    """Certified log x from Simpson's enclosure on the geometric partition.
 
-    x is reduced exactly to 2^k * m with m in [1, 2); the result is
+    x is reduced exactly to 2^k * m with m in [sqrt(1/2), sqrt 2), so
+    log m never cancels against k log 2; the result is
     k*log2 + sandwich(m) with the carried bound covering the sandwich
-    half-gap, the k-fold reuse of the log2 enclosure, and rounding.  The
+    enclosure, the k-fold reuse of the log2 enclosure, and rounding.  The
     bound aims for eps but is reported honestly when eps is below the
-    certification floor (a few 1e-14 per unit of |k|).
+    certification floor (under 2e-15, plus 3.5e-15 per unit of |k|).
     """
     if not eps > 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
@@ -95,9 +133,9 @@ def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
         raise DomainError(f"log requires finite x > 0, got {x}")
     if x == 1.0:
         return ApproxValue(0.0, 0.0)
-    frac, exp2 = math.frexp(x)  # x = frac * 2^exp2 exactly, frac in [0.5, 1)
-    m = 2.0 * frac
-    k = exp2 - 1
+    m, k = math.frexp(x)  # x = m * 2^k exactly, m in [0.5, 1)
+    if m < _SQRT_HALF:
+        m, k = 2.0 * m, k - 1
     l2 = _log2_enclosure()
     reduction = abs(k) * l2.bound
     mid, sbound = _sandwich(m, max(eps - reduction, 0.0))
@@ -139,7 +177,7 @@ def exp_construct(y: float, eps: float = 1e-12) -> float:
         w *= 1.0 + r * (1.0 + 0.5 * r)
         # e^yr = w_old e^s with |s - r| <= bound, so for |r| + bound <= 1 the
         # update is off by at most bound + bound^2 + |r|^3 relatively.
-        newton = abs(r) ** 3
+        newton = abs(r * r * r)
         radius = lw.bound * (1.0 + lw.bound) + newton + noise
     try:
         return math.ldexp(w, k0)

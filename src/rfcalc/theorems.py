@@ -52,6 +52,11 @@ def make_report(name: str, lhs: float, rhs: float, tol: float, anchor: str) -> C
     return CheckReport(name, lhs, rhs, diff, tol, diff <= tol, anchor)
 
 
+def name_selected(name: str, name_filter: Optional[str]) -> bool:
+    """True when a check of this name runs under the substring filter."""
+    return name_filter is None or name_filter in name
+
+
 def _worst_report(
     name: str, pairs: Iterable[tuple[float, float]], tol: float, anchor: str
 ) -> CheckReport:
@@ -253,19 +258,23 @@ def _table_rows() -> list[tuple[str, Fn, Fn, float, float, str]]:
     ]
 
 
-def derivative_table_check(tol: float) -> list[CheckReport]:
-    """Central-difference check of all 14 derivative-table rows."""
+def derivative_table_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
+    """Central-difference check of the 14 derivative-table rows.
+
+    name_filter keeps only rows whose name contains the substring, skipping
+    the rest before any evaluation.
+    """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    reports = []
-    for name, fn, dfn, lo, hi, anchor in _table_rows():
-        pts = _interior_points(lo, hi, _TABLE_POINTS)
-        reports.append(_max_deviation_report(name, fn, dfn, pts, tol, anchor))
-    return reports
+    return [
+        _max_deviation_report(name, fn, dfn, _interior_points(lo, hi, _TABLE_POINTS), tol, anchor)
+        for name, fn, dfn, lo, hi, anchor in _table_rows()
+        if name_selected(name, name_filter)
+    ]
 
 
-def product_chain_check(tol: float) -> list[CheckReport]:
-    """Product rule on sin * exp and chain rule on sin(t^2)."""
+def product_chain_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
+    """Product rule on sin * exp and chain rule on sin(t^2); name_filter as above."""
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     eps = _TABLE_EPS
@@ -277,23 +286,23 @@ def product_chain_check(tol: float) -> list[CheckReport]:
         e = exp_construct(x, eps)
         return math.cos(x) * e + math.sin(x) * e
 
-    product = _max_deviation_report(
-        "product-rule", uv, uv_rule, _interior_points(-1.0, 1.5, 8), tol,
-        "d/dx (u v) = u' v + u v'",
-    )
-
     def composed(t: float) -> float:
         return math.sin(t * t)
 
     def chain_rule(t: float) -> float:
         return math.cos(t * t) * 2.0 * t
 
-    pts = _interior_points(-1.5, 1.5, 8) + [1.0]
-    chain = _max_deviation_report(
-        "chain-rule", composed, chain_rule, pts, tol,
-        "d/dx F(G(x)) = f(G(x)) g(x)",
-    )
-    return [product, chain]
+    rows = [
+        ("product-rule", uv, uv_rule, _interior_points(-1.0, 1.5, 8),
+         "d/dx (u v) = u' v + u v'"),
+        ("chain-rule", composed, chain_rule, _interior_points(-1.5, 1.5, 8) + [1.0],
+         "d/dx F(G(x)) = f(G(x)) g(x)"),
+    ]
+    return [
+        _max_deviation_report(name, fn, dfn, pts, tol, anchor)
+        for name, fn, dfn, pts, anchor in rows
+        if name_selected(name, name_filter)
+    ]
 
 
 def functional_equation_check(
@@ -480,39 +489,48 @@ def run_catalog(tol: float, name_filter: Optional[str] = None) -> list[CheckRepo
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     entries = _catalog_entries(max(1e-13, tol * 1e-3))
-    if name_filter is not None:
-        entries = [e for e in entries if name_filter in e.name]
-    return sorted((_run_entry(e, tol) for e in entries), key=lambda r: r.name)
+    return sorted(
+        (_run_entry(e, tol) for e in entries if name_selected(e.name, name_filter)),
+        key=lambda r: r.name,
+    )
 
 
-def substitution_showcases(tol: float) -> list[CheckReport]:
-    """The worked substitution and parts examples as named reports."""
+def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
+    """The worked substitution and parts examples as named reports.
+
+    name_filter keeps only examples whose name contains the substring,
+    skipping the rest before any quadrature runs.
+    """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     eps = _TABLE_EPS
     e_val = e_const(eps)
-    reports = [
-        check_u_sub(
+    showcases = [
+        ("usub-arctan", check_u_sub, (
             lambda u: 1.0 / (1.0 + u * u), math.tan,
             lambda t: 1.0 / math.cos(t) ** 2,
-            0.0, 0.25 * math.pi, tol, name="usub-arctan"),
-        check_u_sub(
+            0.0, 0.25 * math.pi)),
+        ("usub-identity", check_u_sub, (
             math.cos, lambda t: t, lambda t: 1.0,
-            0.0, 1.0, tol, name="usub-identity"),
-        check_u_sub(
+            0.0, 1.0)),
+        ("usub-half-log", check_u_sub, (
             lambda u: 1.0 / (2.0 * u), lambda t: 1.0 + t * t,
             lambda t: 2.0 * t,
-            0.0, 1.0, tol, name="usub-half-log"),
-        check_parts(
+            0.0, 1.0)),
+        ("parts-log", check_parts, (
             lambda t: log_construct(t, eps).value, lambda t: 1.0 / t,
             lambda t: t, lambda t: 1.0,
-            1.0, e_val, tol, name="parts-log"),
-        check_parts(
+            1.0, e_val)),
+        ("parts-tt", check_parts, (
             lambda t: t, lambda t: 1.0, lambda t: t, lambda t: 1.0,
-            0.0, 1.0, tol, name="parts-tt"),
-        check_parts(
+            0.0, 1.0)),
+        ("parts-arctan", check_parts, (
             lambda t: inverse_fn("arctan", t, eps), lambda t: 1.0 / (1.0 + t * t),
             lambda t: t, lambda t: 1.0,
-            0.0, 1.0, tol, name="parts-arctan"),
+            0.0, 1.0)),
     ]
-    return reports
+    return [
+        check(*args, tol, name=name)
+        for name, check, args in showcases
+        if name_selected(name, name_filter)
+    ]

@@ -2,9 +2,11 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import rfcalc.theorems as theorems
 from rfcalc.cli import main
 
 
@@ -152,6 +154,32 @@ def test_verify_exit_3_on_failure(capsys):
     )
     assert code == 3
     assert "FAIL cube-integral" in out
+
+
+def test_verify_filter_restricts_unfiltered_rows(capsys):
+    _, full, _ = run_cli(capsys, "verify", "--output", "csv")
+    header, *rows = full.splitlines()
+    for name_filter in ("cube", "deriv", "rule", "usub", "parts-log", "functional", "arc"):
+        code, out, _ = run_cli(capsys, "verify", "--filter", name_filter, "--output", "csv")
+        assert code == 0
+        assert out.splitlines() == [header] + [r for r in rows if name_filter in r.split(",")[0]]
+
+
+def test_verify_filter_integrates_only_matching_rows(capsys, monkeypatch):
+    calls = []
+
+    def recorded(name):
+        def integrate(f, a, b, *args):
+            calls.append((name, a, b))
+            return SimpleNamespace(value=b ** 4 / 4.0)  # the cube's exact integral
+        return integrate
+
+    monkeypatch.setattr(theorems, "integrate", recorded("integrate"))
+    monkeypatch.setattr(theorems, "integrate_improper", recorded("integrate_improper"))
+    code, out, _ = run_cli(capsys, "verify", "--filter", "cube", "--tol", "1e-20")
+    assert code == 0
+    assert "PASS cube-integral" in out
+    assert calls == [("integrate", 0.0, 2.0)]  # the cube-integral row's own window
 
 
 def test_verify_csv_output(capsys):

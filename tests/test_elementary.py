@@ -69,6 +69,70 @@ def test_log_domain():
         log_construct(2.0, eps=0.0)
 
 
+_LOG_ARGUMENTS = st.one_of(
+    st.floats(min_value=-1074.0, max_value=1023.999).map(lambda t: 2.0 ** t),
+    st.floats(min_value=-16.0, max_value=-1.0).map(lambda s: 1.0 + 10.0 ** s),
+    st.floats(min_value=-16.0, max_value=-1.0).map(lambda s: 1.0 - 10.0 ** s),
+    st.sampled_from([
+        5e-324, sys.float_info.max,
+        *(math.nextafter(r, to)
+          for r in (math.sqrt(2.0), math.sqrt(0.5)) for to in (0.0, math.inf)),
+    ]),
+)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+@given(x=_LOG_ARGUMENTS)
+def test_log_bound_is_honest(eps, x):
+    want = math.log(x)
+    approx = log_construct(x, eps)
+    assert abs(approx.value - want) <= approx.bound + math.ulp(want)
+
+
+class _CountingMath:
+    """math, with every sqrt call counted: one per sandwich step."""
+
+    def __init__(self):
+        self.sqrt_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sqrt(self, x):
+        self.sqrt_calls += 1
+        return math.sqrt(x)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+def test_log_sandwich_steps(monkeypatch, eps):
+    elementary._log2_enclosure()  # cached before counting
+    counting = _CountingMath()
+    monkeypatch.setattr(elementary, "math", counting)
+    rng = random.Random(20261018)
+    xs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(300)]
+    xs += [1.0 + rng.choice((-1, 1)) * 10.0 ** rng.uniform(-15.0, -1.0) for _ in range(100)]
+    steps = []
+    for x in xs:
+        before = counting.sqrt_calls
+        log_construct(x, eps)
+        steps.append(counting.sqrt_calls - before)
+    assert sum(steps) / len(steps) <= 8.0
+    assert max(steps) <= 12
+
+
+def test_log_bound_floor_from_half_to_two():
+    xs = [0.5 + 1.5 * i / 2000 for i in range(2001)] + [math.sqrt(2.0), math.sqrt(0.5)]
+    assert max(log_construct(x, 1e-14).bound for x in xs) <= 2e-14
+
+
+def test_log2_constant():
+    # Pinned: one ulp above 0.6931471805599453, the double nearest log 2;
+    # exp's reduction y - k log 2 carries its error k times.
+    l2 = elementary._log2_enclosure()
+    assert l2 == ApproxValue(0.6931471805599454, 3.1519546659669717e-15)
+    assert abs(l2.value - math.log(2.0)) <= l2.bound
+
+
 @given(st.floats(min_value=-20.0, max_value=20.0))
 def test_exp_matches_platform(y):
     got = exp_construct(y, 1e-12)
@@ -92,16 +156,30 @@ def test_exp_within_relative_eps(eps, lo, hi, data):
 @pytest.mark.parametrize("eps,lo,hi", _EXP_RANGES)
 @given(data=st.data())
 def test_pow_within_relative_eps(eps, lo, hi, data):
-    # b^x = exp(x log b), the exponent x log b drawn from the same range.
-    e = data.draw(st.floats(min_value=0.05, max_value=20.0)) * data.draw(st.sampled_from((-1, 1)))
+    # b^x = exp(x log b), the exponent x log b drawn from the same range;
+    # bases just above and below 1 make |x| large.
+    e = data.draw(st.one_of(
+        st.floats(min_value=0.05, max_value=20.0),
+        st.floats(min_value=1e-15, max_value=1e-6),
+    )) * data.draw(st.sampled_from((-1, 1)))
     b = 2.0 ** e
     x = data.draw(st.floats(min_value=lo, max_value=hi)) / math.log(b)
     want = b ** x
-    # The error log b carries in, times x, comes on top of eps: for b just
-    # below 1 it exceeds eps / |x| (log b is k log 2 + log m with k = -1).
-    log_b = log_construct(b, 0.5 * eps / max(1.0, abs(x))).value
-    carried = abs(x * (log_b - math.log(b)))
-    assert abs(pow_construct(b, x, eps) - want) <= (eps + carried) * want
+    assert abs(pow_construct(b, x, eps) - want) <= eps * want
+
+
+@pytest.mark.parametrize(
+    "b,x,eps",
+    [
+        (0.9576032806985737, -23.083120654223446, 1e-14),
+        (0.9659363289248456, -865.6170245333793, 1e-12),
+        (0.999999, 1e6, 1e-12),
+    ],
+)
+def test_pow_base_just_below_one(b, x, eps):
+    # log b for b just below 1 no longer cancels as -log 2 + log 2b.
+    want = b ** x
+    assert abs(pow_construct(b, x, eps) - want) <= eps * want
 
 
 def test_exp_log_calls_per_value(monkeypatch):
@@ -338,6 +416,21 @@ def test_trig_inverses_keep_their_bits(eps):
 _IMPORTED = {"log", "log1p", "log2", "log10", "exp", "expm1", "pow", "asinh", "acosh", "atanh"}
 
 
+def _literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant)
+
+
+def _platform_pow(node):
+    # x ** y calls platform pow unless both sides are literals; products are
+    # ops whose bits numpy reproduces.
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Pow)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and not (_literal(node.left) and _literal(node.right)))
+
+
 def test_elementary_imports_no_log_or_exp():
     # The module builds these from the integral; math's versions are oracles only.
     tree = ast.parse(open(elementary.__file__, encoding="utf-8").read())
@@ -347,5 +440,6 @@ def test_elementary_imports_no_log_or_exp():
         if (isinstance(node, ast.ImportFrom) and node.module == "math")
         or (isinstance(node, ast.Attribute) and node.attr in _IMPORTED
             and isinstance(node.value, ast.Name) and node.value.id == "math")
+        or _platform_pow(node)
     ]
     assert found == []
