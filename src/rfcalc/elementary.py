@@ -11,7 +11,8 @@ reach the rounding floor.  exp inverts log by Newton's method from a
 polynomial start, each step one certified log call, b^x = exp(x log b),
 hyperbolics are their defining quotients of exp, arsinh/arcosh/artanh are
 closed forms through the certified log, and arcsin/arctan bisect platform
-sin/tan.
+sin/tan, arcsin above 1/2 through its half-angle form
+pi/2 - 2 arcsin sqrt((1 - y)/2), where sin is not flat.
 
 math.log / math.exp / math.pow appear nowhere in this module; the test
 suite uses them as oracles, the implementation must not.  Platform
@@ -259,7 +260,9 @@ _INVERSE_LARGE = 2.0 ** 27
 def inverse_fn(kind: str, y: float, eps: float = 1e-12) -> float:
     """Principal-branch inverse, to absolute accuracy ~eps.
 
-    arcsin/arctan bisect platform sin/tan.  arsinh, arcosh and artanh are
+    arcsin/arctan bisect platform sin/tan; for |y| > 1/2, where sin is
+    flat near pi/2, arcsin bisects for r = sqrt((1 - |y|)/2) <= 1/2 instead
+    and returns pi/2 - 2 arcsin r.  arsinh, arcosh and artanh are
     closed forms through the certified log, one log call each:
     log(y + sqrt(y^2 + 1)), log(y + sqrt((y - 1)(y + 1))) and
     log((1 + y)/(1 - y))/2, with y - 1 and 1 - y exact where they cancel;
@@ -290,9 +293,17 @@ def inverse_fn(kind: str, y: float, eps: float = 1e-12) -> float:
     target = abs(y)
 
     if kind == "arcsin":
+        if target <= 0.5:
+            return sign * _bisect_increasing(math.sin, 0.0, 0.5 * math.pi, target, eps)
         if target == 1.0:
             return sign * (0.5 * math.pi)
-        return sign * _bisect_increasing(math.sin, 0.0, 0.5 * math.pi, target, eps)
+        # Near 1, sin is flat and bisecting it loses digits; instead
+        # arcsin y = pi/2 - 2 arcsin r with r = sqrt((1 - y)/2) <= 1/2, where
+        # 1 - y is exact.  arcsin r < pi/6, so bisecting on [0, pi/4] to
+        # eps/2 takes as many steps as [0, pi/2] to eps.
+        r = math.sqrt(0.5 * (1.0 - target))
+        half = _bisect_increasing(math.sin, 0.0, 0.25 * math.pi, r, 0.5 * eps)
+        return sign * (0.5 * math.pi - 2.0 * half)
     if kind == "arctan":
         hi = 0.5 * math.pi  # fp value is below the true pole; tan there is huge
         if target >= math.tan(hi):

@@ -2,15 +2,17 @@
 
 Recursive-descent parser, a compiler from trees to array integrands, and
 a minimal-parenthesis printer.  Power is right-associative and binds
-tighter than unary minus, so "-2^2" means -(2^2).  compile() walks a tree
-once and returns an ArrayFn that evaluates it over a whole array of t: the
-arithmetic, sqrt, abs, sin and cos (and sec, csc, cot from them) as numpy
-ops, and tan, exp, log, non-integral powers, hyperbolics and inverse
+tighter than unary minus, so "-2^2" means -(2^2).  compile(e, eps) walks a
+tree once and returns an ArrayFn that evaluates it over a whole array of
+t: the arithmetic, sqrt, abs, sin and cos (and sec, csc, cot from them) as
+numpy ops, and tan, exp, log, non-integral powers, hyperbolics and inverse
 functions element by element through math.tan and the constructive
-implementations.  Each element gets the same bits, and the same domain
-errors, as evaluating the tree at that point alone, provided numpy's sin
-and cos give math's bits (tests/test_compile.py checks that they do).
-eval_expr(e, t) compiles e and applies it to a float or an array of t.
+implementations at accuracy eps, 1e-14 unless given.  This is the one map
+from a function name to the tower; theorems writes its catalog in this
+language.  Each element gets the same bits, and the same domain errors, as
+evaluating the tree at that point alone, provided numpy's sin and cos give
+math's bits (tests/test_compile.py checks that they do).  eval_expr(e, t)
+compiles e and applies it to a float or an array of t.
 """
 
 from __future__ import annotations
@@ -297,25 +299,26 @@ def _divide(left: np.ndarray, right: np.ndarray, faults: _Faults) -> np.ndarray:
 # Python floats (tests/test_compile.py checks the ufuncs against math).  The
 # rest go element by element through the scalar functions: np.tan differs
 # from math.tan in the last bit at some points, and exp, log, powers,
-# hyperbolics and inverses are the constructed ones.  The lambdas look the
-# constructed functions up at call time, so wrapping them in this module
-# (as perfbench/layers.py does) sees every call.
-_FUNCTIONS = {
-    "sin": _sin,
-    "cos": _cos,
-    "tan": _elementwise(math.tan),
-    "sec": _reciprocal(_cos, "sec"),
-    "csc": _reciprocal(_sin, "csc"),
-    "cot": _cot,
-    "sinh": _elementwise(lambda x: hyperbolic("sinh", x, _EVAL_EPS)),
-    "cosh": _elementwise(lambda x: hyperbolic("cosh", x, _EVAL_EPS)),
-    "tanh": _elementwise(lambda x: hyperbolic("tanh", x, _EVAL_EPS)),
-    "exp": _elementwise(lambda x: exp_construct(x, _EVAL_EPS)),
-    "log": _elementwise(lambda x: log_construct(x, _EVAL_EPS).value),
-    "sqrt": _sqrt,
-    "abs": lambda x, faults: np.abs(x),
-    "atan": _elementwise(lambda x: inverse_fn("arctan", x, _EVAL_EPS)),
-    "asin": _elementwise(lambda x: inverse_fn("arcsin", x, _EVAL_EPS)),
+# hyperbolics and inverses are the constructed ones, called at the eps given
+# to compile().  Each entry takes that eps and returns the node.  The lambdas
+# look the constructed functions up at call time, so wrapping them in this
+# module (as perfbench/layers.py does) sees every call.
+_FUNCTIONS: dict[str, Callable[[float], Node]] = {
+    "sin": lambda eps: _sin,
+    "cos": lambda eps: _cos,
+    "tan": lambda eps: _elementwise(math.tan),
+    "sec": lambda eps: _reciprocal(_cos, "sec"),
+    "csc": lambda eps: _reciprocal(_sin, "csc"),
+    "cot": lambda eps: _cot,
+    "sinh": lambda eps: _elementwise(lambda x: hyperbolic("sinh", x, eps)),
+    "cosh": lambda eps: _elementwise(lambda x: hyperbolic("cosh", x, eps)),
+    "tanh": lambda eps: _elementwise(lambda x: hyperbolic("tanh", x, eps)),
+    "exp": lambda eps: _elementwise(lambda x: exp_construct(x, eps)),
+    "log": lambda eps: _elementwise(lambda x: log_construct(x, eps).value),
+    "sqrt": lambda eps: _sqrt,
+    "abs": lambda eps: lambda x, faults: np.abs(x),
+    "atan": lambda eps: _elementwise(lambda x: inverse_fn("arctan", x, eps)),
+    "asin": lambda eps: _elementwise(lambda x: inverse_fn("arcsin", x, eps)),
 }
 
 _OPERATORS = {
@@ -326,7 +329,7 @@ _OPERATORS = {
 }
 
 
-def _power(base: float, expo: float) -> float:
+def _power(base: float, expo: float, eps: float) -> float:
     """base^expo for one element: repeated multiplication for a small
     integral exponent, the constructed pow otherwise."""
     if expo == expo and expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT:
@@ -345,7 +348,7 @@ def _power(base: float, expo: float) -> float:
         raise DomainError("zero raised to a nonpositive power")
     if base < 0.0:
         raise DomainError("negative base with non-integral exponent")
-    return pow_construct(base, expo, _EVAL_EPS)
+    return pow_construct(base, expo, eps)
 
 
 def _constant(e: Expr) -> Union[float, None]:
@@ -357,9 +360,11 @@ def _constant(e: Expr) -> Union[float, None]:
     return None
 
 
-def _power_node(left: Node, right: Node, expo: Union[float, None]) -> Node:
+def _power_node(left: Node, right: Node, expo: Union[float, None], eps: float) -> Node:
     if expo is None or not (expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT):
-        return lambda t, faults: _map(_power, faults, left(t, faults), right(t, faults))
+        def power(b: float, x: float) -> float:
+            return _power(b, x, eps)
+        return lambda t, faults: _map(power, faults, left(t, faults), right(t, faults))
     n = int(expo)
 
     def node(t: np.ndarray, faults: _Faults) -> np.ndarray:
@@ -375,19 +380,19 @@ def _power_node(left: Node, right: Node, expo: Union[float, None]) -> Node:
     return node
 
 
-def _compile(e: Expr) -> Node:
+def _compile(e: Expr, eps: float) -> Node:
     if isinstance(e, Constant):
         value = e.value
         return lambda t, faults: np.full(t.shape, value)
     if isinstance(e, Var):
         return lambda t, faults: t
     if isinstance(e, Unary):
-        child = _compile(e.child)
+        child = _compile(e.child, eps)
         return lambda t, faults: -child(t, faults)
     if isinstance(e, Binary):
-        left, right = _compile(e.left), _compile(e.right)
+        left, right = _compile(e.left, eps), _compile(e.right, eps)
         if e.op == "^":
-            return _power_node(left, right, _constant(e.right))
+            return _power_node(left, right, _constant(e.right), eps)
         if e.op not in _OPERATORS:
             raise InvalidArgumentError(f"unknown operator {e.op!r}")
         op = _OPERATORS[e.op]
@@ -395,21 +400,23 @@ def _compile(e: Expr) -> Node:
     if isinstance(e, Call):
         if e.fname not in _FUNCTIONS:
             raise InvalidArgumentError(f"unknown function {e.fname!r}")
-        arg, fn = _compile(e.arg), _FUNCTIONS[e.fname]
+        arg, fn = _compile(e.arg, eps), _FUNCTIONS[e.fname](eps)
         return lambda t, faults: fn(arg(t, faults), faults)
     raise InvalidArgumentError(f"unknown node {e!r}")
 
 
-def compile(e: Expr) -> ArrayFn:
+def compile(e: Expr, eps: float = _EVAL_EPS) -> ArrayFn:
     """Turn a parsed tree into an integrand over float64 arrays of t.
 
     The tree is walked once; the result evaluates every element with the
-    same rounding as a scalar evaluation at that point.  Domain violations
-    (log of a nonpositive value, division by zero, ...) raise
-    EvaluationError carrying the first t, in array order, at which one
-    occurred, with the message of the first violation at that t.
+    same rounding as a scalar evaluation at that point.  Every constructed
+    function in it (exp, log, hyperbolics, atan, asin and non-integral
+    powers) is called at accuracy eps.  Domain violations (log of a
+    nonpositive value, division by zero, ...) raise EvaluationError
+    carrying the first t, in array order, at which one occurred, with the
+    message of the first violation at that t.
     """
-    node = _compile(e)
+    node = _compile(e, eps)
 
     def samples(t: np.ndarray) -> np.ndarray:
         faults = _Faults(t.size)

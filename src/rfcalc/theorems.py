@@ -2,6 +2,10 @@
 fundamental theorem, a 14-row derivative table, and a catalog of definite
 integrals whose closed forms come from the constructive tower.
 
+The catalog and the product and chain rule rows are written in the
+expression language and compiled by expr: a catalog integrand is an array
+integrand, and its closed form is F(hi) - F(lo) for the compiled F.
+
 Every checker returns CheckReport rows rather than raising on failure;
 the only exceptions raised are hypothesis violations (a caller-supplied
 antiderivative that does not match its integrand) and bad arguments.
@@ -23,6 +27,7 @@ from .elementary import (
     pow_construct,
 )
 from .errors import HypothesisViolation, InvalidArgumentError
+from .expr import compile, parse
 from .integrator import cumulative, integrate, integrate_improper
 
 Fn = Callable[[float], float]
@@ -277,29 +282,15 @@ def product_chain_check(tol: float, name_filter: Optional[str] = None) -> list[C
     """Product rule on sin * exp and chain rule on sin(t^2); name_filter as above."""
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    eps = _TABLE_EPS
-
-    def uv(x: float) -> float:
-        return math.sin(x) * exp_construct(x, eps)
-
-    def uv_rule(x: float) -> float:
-        e = exp_construct(x, eps)
-        return math.cos(x) * e + math.sin(x) * e
-
-    def composed(t: float) -> float:
-        return math.sin(t * t)
-
-    def chain_rule(t: float) -> float:
-        return math.cos(t * t) * 2.0 * t
-
     rows = [
-        ("product-rule", uv, uv_rule, _interior_points(-1.0, 1.5, 8),
-         "d/dx (u v) = u' v + u v'"),
-        ("chain-rule", composed, chain_rule, _interior_points(-1.5, 1.5, 8) + [1.0],
-         "d/dx F(G(x)) = f(G(x)) g(x)"),
+        ("product-rule", "sin(t)*exp(t)", "cos(t)*exp(t)+sin(t)*exp(t)",
+         _interior_points(-1.0, 1.5, 8), "d/dx (u v) = u' v + u v'"),
+        ("chain-rule", "sin(t^2)", "cos(t^2)*2*t",
+         _interior_points(-1.5, 1.5, 8) + [1.0], "d/dx F(G(x)) = f(G(x)) g(x)"),
     ]
     return [
-        _max_deviation_report(name, fn, dfn, pts, tol, anchor)
+        _max_deviation_report(name, compile(parse(fn), _TABLE_EPS),
+                              compile(parse(dfn), _TABLE_EPS), pts, tol, anchor)
         for name, fn, dfn, pts, anchor in rows
         if name_selected(name, name_filter)
     ]
@@ -336,136 +327,64 @@ class CatalogEntry:
 
 _CLOSED_EPS = 1e-12
 
+# (name, integrand f, antiderivative F, lo, hi, anchor[, singular end]): the
+# closed form of the integral of f over [lo, hi] is F(hi) - F(lo).
+_CATALOG = (
+    ("cos-integral", "cos(t)", "sin(t)", 0.0, 0.5 * math.pi, "int[0..x] cos t dt = sin x"),
+    ("sin-integral", "sin(t)", "-cos(t)", 0.0, math.pi, "int[0..x] sin t dt = 1 - cos x"),
+    ("exp-integral", "exp(t)", "exp(t)", 0.0, 1.0, "int[p..q] e^t dt = e^q - e^p"),
+    ("base2-integral", "2^t", "2^t/log(2)", 0.0, 1.0, "int[p..q] b^t dt = (b^q - b^p)/log b"),
+    ("cube-integral", "t^3", "t^4/4", 0.0, 2.0, "int[0..x] t^n dt = x^(n+1)/(n+1)"),
+    ("recip-integral", "1/t", "log(t)", 1.0, 2.0, "int[1..x] dt/t = log x"),
+    ("sec2-integral", "sec(t)^2", "tan(t)", 0.0, 1.0, "int[0..x] sec^2 t dt = tan x"),
+    ("csc2-integral", "1/sin(t)^2", "-cot(t)", 0.5, 1.5, "int[a..b] csc^2 t dt = cot a - cot b"),
+    ("sqrt-power-integral", "t^0.5", "t^1.5/1.5", 1.0, 4.0,
+     "int[p..q] t^a dt = (q^(a+1) - p^(a+1))/(a+1) at a=1/2"),
+    ("invsqrt-power-integral", "t^-0.5", "t^0.5/0.5", 1.0, 4.0,
+     "int[p..q] t^a dt = (q^(a+1) - p^(a+1))/(a+1) at a=-1/2"),
+    ("arctan-integral", "1/(1+t^2)", "atan(t)", 0.0, 1.0, "int[0..y] dt/(1+t^2) = arctan y"),
+    ("arcsin-integral", "1/sqrt(1-t^2)", "asin(t)", 0.0, 0.5,
+     "int[0..y] dt/sqrt(1-t^2) = arcsin y"),
+    ("arcsin-improper", "1/sqrt(1-t^2)", "asin(t)", 0.0, 1.0,
+     "int[0..1] dt/sqrt(1-t^2) = pi/2", "upper"),
+    ("tan-integral", "tan(t)", "-log(cos(t))", 0.2, 1.2, "int tan t dt = -log|cos t| + C"),
+    ("cot-integral", "cot(t)", "log(sin(t))", 0.3, 1.2, "int cot t dt = log|sin t| + C"),
+    ("sec-integral", "sec(t)", "log(sec(t)+tan(t))", 0.0, 1.0,
+     "int[0..x] sec t dt = log(sec x + tan x)"),
+    ("csc-integral", "csc(t)", "-log((1+cos(t))/sin(t))", 0.5, 1.5,
+     "int csc t dt: antiderivative -log(csc t + cot t)"),
+    ("cosh-integral", "cosh(t)", "sinh(t)", 0.0, 1.0, "int[0..x] cosh t dt = sinh x"),
+    ("sinh-integral", "sinh(t)", "cosh(t)", 0.0, 1.0, "int[0..x] sinh t dt = cosh x - 1"),
+    ("sech2-integral", "(1/cosh(t))^2", "tanh(t)", 0.0, 1.0, "int[0..x] sech^2 t dt = tanh x"),
+    ("csch2-integral", "(1/sinh(t))^2", "-1/tanh(t)", 0.5, 1.5,
+     "int[a..b] csch^2 t dt = coth a - coth b"),
+    ("arsinh-integral", "1/sqrt(1+t^2)", "log(t+sqrt(t^2+1))", 0.0, 1.0,
+     "int[0..y] dt/sqrt(1+t^2) = arsinh y"),
+    ("arcosh-improper", "1/sqrt(t^2-1)", "log(t+sqrt((t-1)*(t+1)))", 1.0, 2.0,
+     "int[1..y] dt/sqrt(t^2-1) = arcosh y", "lower"),
+    ("artanh-integral", "1/(1-t^2)", "log((1+t)/(1-t))/2", 0.0, 0.5,
+     "int[0..y] dt/(1-t^2) = artanh y"),
+    ("log-antiderivative", "log(t)", "t*log(t)-t", 1.0, 2.0,
+     "int[1..x] log t dt = x log x - x + 1"),
+    ("arctan-antiderivative", "atan(t)", "t*atan(t)-log(1+t^2)/2", 0.0, 1.0,
+     "int[0..x] arctan t dt = x arctan x - log(1+x^2)/2"),
+    ("sectan-integral", "sin(t)/cos(t)^2", "sec(t)", 0.0, 1.0,
+     "int[0..x] sec t tan t dt = sec x - 1"),
+)
 
-def _catalog_entries(eps: float) -> list[CatalogEntry]:
-    """The verification catalog; eps controls integrand-side precision."""
-    ceps = _CLOSED_EPS
-    half_pi = 0.5 * math.pi
 
-    def sec(t: float) -> float:
-        return 1.0 / math.cos(t)
+def _difference(big_f: Fn) -> Callable[[float, float], float]:
+    return lambda a, b: big_f(b) - big_f(a)
 
-    def cot(t: float) -> float:
-        return math.cos(t) / math.sin(t)
 
+def _catalog_entries(eps: float, name_filter: Optional[str] = None) -> list[CatalogEntry]:
+    """The catalog rows name_filter selects, compiled; eps controls
+    integrand-side precision."""
     return [
-        CatalogEntry(
-            "cos-integral", math.cos,
-            lambda a, b: math.sin(b) - math.sin(a),
-            0.0, half_pi, "int[0..x] cos t dt = sin x"),
-        CatalogEntry(
-            "sin-integral", math.sin,
-            lambda a, b: math.cos(a) - math.cos(b),
-            0.0, math.pi, "int[0..x] sin t dt = 1 - cos x"),
-        CatalogEntry(
-            "exp-integral", lambda t: exp_construct(t, eps),
-            lambda a, b: exp_construct(b, ceps) - exp_construct(a, ceps),
-            0.0, 1.0, "int[p..q] e^t dt = e^q - e^p"),
-        CatalogEntry(
-            "base2-integral", lambda t: pow_construct(2.0, t, eps),
-            lambda a, b: (pow_construct(2.0, b, ceps) - pow_construct(2.0, a, ceps))
-            / log_construct(2.0, ceps).value,
-            0.0, 1.0, "int[p..q] b^t dt = (b^q - b^p)/log b"),
-        CatalogEntry(
-            "cube-integral", lambda t: t * t * t,
-            lambda a, b: (b ** 4 - a ** 4) / 4.0,
-            0.0, 2.0, "int[0..x] t^n dt = x^(n+1)/(n+1)"),
-        CatalogEntry(
-            "recip-integral", lambda t: 1.0 / t,
-            lambda a, b: log_construct(b, ceps).value - log_construct(a, ceps).value,
-            1.0, 2.0, "int[1..x] dt/t = log x"),
-        CatalogEntry(
-            "sec2-integral", lambda t: sec(t) ** 2,
-            lambda a, b: math.tan(b) - math.tan(a),
-            0.0, 1.0, "int[0..x] sec^2 t dt = tan x"),
-        CatalogEntry(
-            "csc2-integral", lambda t: 1.0 / math.sin(t) ** 2,
-            lambda a, b: cot(a) - cot(b),
-            0.5, 1.5, "int[a..b] csc^2 t dt = cot a - cot b"),
-        CatalogEntry(
-            "sqrt-power-integral", lambda t: pow_construct(t, 0.5, eps),
-            lambda a, b: (pow_construct(b, 1.5, ceps) - pow_construct(a, 1.5, ceps)) / 1.5,
-            1.0, 4.0, "int[p..q] t^a dt = (q^(a+1) - p^(a+1))/(a+1) at a=1/2"),
-        CatalogEntry(
-            "invsqrt-power-integral", lambda t: pow_construct(t, -0.5, eps),
-            lambda a, b: (pow_construct(b, 0.5, ceps) - pow_construct(a, 0.5, ceps)) / 0.5,
-            1.0, 4.0, "int[p..q] t^a dt = (q^(a+1) - p^(a+1))/(a+1) at a=-1/2"),
-        CatalogEntry(
-            "arctan-integral", lambda t: 1.0 / (1.0 + t * t),
-            lambda a, b: inverse_fn("arctan", b, ceps) - inverse_fn("arctan", a, ceps),
-            0.0, 1.0, "int[0..y] dt/(1+t^2) = arctan y"),
-        CatalogEntry(
-            "arcsin-integral", lambda t: 1.0 / math.sqrt(1.0 - t * t),
-            lambda a, b: inverse_fn("arcsin", b, ceps) - inverse_fn("arcsin", a, ceps),
-            0.0, 0.5, "int[0..y] dt/sqrt(1-t^2) = arcsin y"),
-        CatalogEntry(
-            "arcsin-improper", lambda t: 1.0 / math.sqrt(1.0 - t * t),
-            lambda a, b: inverse_fn("arcsin", b, ceps) - inverse_fn("arcsin", a, ceps),
-            0.0, 1.0, "int[0..1] dt/sqrt(1-t^2) = pi/2", improper_end="upper"),
-        CatalogEntry(
-            "tan-integral", math.tan,
-            lambda a, b: log_construct(math.cos(a), ceps).value
-            - log_construct(math.cos(b), ceps).value,
-            0.2, 1.2, "int tan t dt = -log|cos t| + C"),
-        CatalogEntry(
-            "cot-integral", cot,
-            lambda a, b: log_construct(math.sin(b), ceps).value
-            - log_construct(math.sin(a), ceps).value,
-            0.3, 1.2, "int cot t dt = log|sin t| + C"),
-        CatalogEntry(
-            "sec-integral", sec,
-            lambda a, b: log_construct(sec(b) + math.tan(b), ceps).value
-            - log_construct(sec(a) + math.tan(a), ceps).value,
-            0.0, 1.0, "int[0..x] sec t dt = log(sec x + tan x)"),
-        CatalogEntry(
-            "csc-integral", lambda t: 1.0 / math.sin(t),
-            lambda a, b: log_construct((1.0 + math.cos(a)) / math.sin(a), ceps).value
-            - log_construct((1.0 + math.cos(b)) / math.sin(b), ceps).value,
-            0.5, 1.5, "int csc t dt: antiderivative -log(csc t + cot t)"),
-        CatalogEntry(
-            "cosh-integral", lambda t: hyperbolic("cosh", t, eps),
-            lambda a, b: hyperbolic("sinh", b, ceps) - hyperbolic("sinh", a, ceps),
-            0.0, 1.0, "int[0..x] cosh t dt = sinh x"),
-        CatalogEntry(
-            "sinh-integral", lambda t: hyperbolic("sinh", t, eps),
-            lambda a, b: hyperbolic("cosh", b, ceps) - hyperbolic("cosh", a, ceps),
-            0.0, 1.0, "int[0..x] sinh t dt = cosh x - 1"),
-        CatalogEntry(
-            "sech2-integral", lambda t: hyperbolic("sech2", t, eps),
-            lambda a, b: hyperbolic("tanh", b, ceps) - hyperbolic("tanh", a, ceps),
-            0.0, 1.0, "int[0..x] sech^2 t dt = tanh x"),
-        CatalogEntry(
-            "csch2-integral", lambda t: hyperbolic("csch2", t, eps),
-            lambda a, b: hyperbolic("coth", a, ceps) - hyperbolic("coth", b, ceps),
-            0.5, 1.5, "int[a..b] csch^2 t dt = coth a - coth b"),
-        CatalogEntry(
-            "arsinh-integral", lambda t: 1.0 / math.sqrt(1.0 + t * t),
-            lambda a, b: inverse_fn("arsinh", b, ceps) - inverse_fn("arsinh", a, ceps),
-            0.0, 1.0, "int[0..y] dt/sqrt(1+t^2) = arsinh y"),
-        CatalogEntry(
-            "arcosh-improper", lambda t: 1.0 / math.sqrt(t * t - 1.0),
-            lambda a, b: inverse_fn("arcosh", b, ceps) - inverse_fn("arcosh", a, ceps),
-            1.0, 2.0, "int[1..y] dt/sqrt(t^2-1) = arcosh y", improper_end="lower"),
-        CatalogEntry(
-            "artanh-integral", lambda t: 1.0 / (1.0 - t * t),
-            lambda a, b: inverse_fn("artanh", b, ceps) - inverse_fn("artanh", a, ceps),
-            0.0, 0.5, "int[0..y] dt/(1-t^2) = artanh y"),
-        CatalogEntry(
-            "log-antiderivative", lambda t: log_construct(t, eps).value,
-            lambda a, b: (b * log_construct(b, ceps).value - b)
-            - (a * log_construct(a, ceps).value - a),
-            1.0, 2.0, "int[1..x] log t dt = x log x - x + 1"),
-        CatalogEntry(
-            "arctan-antiderivative", lambda t: inverse_fn("arctan", t, eps),
-            lambda a, b: (b * inverse_fn("arctan", b, ceps)
-                          - 0.5 * log_construct(1.0 + b * b, ceps).value)
-            - (a * inverse_fn("arctan", a, ceps)
-               - 0.5 * log_construct(1.0 + a * a, ceps).value),
-            0.0, 1.0, "int[0..x] arctan t dt = x arctan x - log(1+x^2)/2"),
-        CatalogEntry(
-            "sectan-integral", lambda t: math.sin(t) / math.cos(t) ** 2,
-            lambda a, b: sec(b) - sec(a),
-            0.0, 1.0, "int[0..x] sec t tan t dt = sec x - 1"),
+        CatalogEntry(name, compile(parse(f), eps), _difference(compile(parse(big_f), _CLOSED_EPS)),
+                     lo, hi, anchor, *end)
+        for name, f, big_f, lo, hi, anchor, *end in _CATALOG
+        if name_selected(name, name_filter)
     ]
 
 
@@ -483,16 +402,13 @@ def run_catalog(tol: float, name_filter: Optional[str] = None) -> list[CheckRepo
     """Integrate every catalog entry and compare with its closed form.
 
     Reports come back sorted by name.  name_filter keeps only entries whose
-    name contains the substring, skipping the rest before any quadrature
-    runs.
+    name contains the substring, skipping the rest before they are
+    compiled.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    entries = _catalog_entries(max(1e-13, tol * 1e-3))
-    return sorted(
-        (_run_entry(e, tol) for e in entries if name_selected(e.name, name_filter)),
-        key=lambda r: r.name,
-    )
+    entries = _catalog_entries(max(1e-13, tol * 1e-3), name_filter)
+    return sorted((_run_entry(e, tol) for e in entries), key=lambda r: r.name)
 
 
 def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:

@@ -32,11 +32,10 @@ from rfcalc.partitions import (
 # ---------------------------------------------------------------------------
 # Reference oracle: the scalar tree walk and the per-tag Riemann sum.
 
-_EVAL_EPS = 1e-14
 _MAX_MUL_EXPONENT = 64
 
 
-def _ref_power(base, expo, t):
+def _ref_power(base, expo, t, eps):
     if expo == expo and expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT:
         n = int(expo)
         out = 1.0
@@ -53,10 +52,10 @@ def _ref_power(base, expo, t):
         raise EvaluationError(t, "zero raised to a nonpositive power")
     if base < 0.0:
         raise EvaluationError(t, "negative base with non-integral exponent")
-    return pow_construct(base, expo, _EVAL_EPS)
+    return pow_construct(base, expo, eps)
 
 
-def _ref_apply(fname, x, t):
+def _ref_apply(fname, x, t, eps):
     if fname == "sin":
         return math.sin(x)
     if fname == "cos":
@@ -79,9 +78,9 @@ def _ref_apply(fname, x, t):
             raise EvaluationError(t, "cot undefined")
         return math.cos(x) / s
     if fname == "exp":
-        return exp_construct(x, _EVAL_EPS)
+        return exp_construct(x, eps)
     if fname == "log":
-        return log_construct(x, _EVAL_EPS).value
+        return log_construct(x, eps).value
     if fname == "sqrt":
         if x < 0.0:
             raise EvaluationError(t, "sqrt of a negative value")
@@ -89,24 +88,24 @@ def _ref_apply(fname, x, t):
     if fname == "abs":
         return abs(x)
     if fname in ("sinh", "cosh", "tanh"):
-        return hyperbolic(fname, x, _EVAL_EPS)
+        return hyperbolic(fname, x, eps)
     if fname == "atan":
-        return inverse_fn("arctan", x, _EVAL_EPS)
+        return inverse_fn("arctan", x, eps)
     if fname == "asin":
-        return inverse_fn("arcsin", x, _EVAL_EPS)
+        return inverse_fn("arcsin", x, eps)
     raise EvaluationError(t, f"unknown function {fname!r}")
 
 
-def reference_eval(e, t):
+def reference_eval(e, t, eps=1e-14):
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Var):
         return t
     if isinstance(e, Unary):
-        return -reference_eval(e.child, t)
+        return -reference_eval(e.child, t, eps)
     if isinstance(e, Binary):
-        left = reference_eval(e.left, t)
-        right = reference_eval(e.right, t)
+        left = reference_eval(e.left, t, eps)
+        right = reference_eval(e.right, t, eps)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -119,14 +118,14 @@ def reference_eval(e, t):
             return left / right
         if e.op == "^":
             try:
-                return _ref_power(left, right, t)
+                return _ref_power(left, right, t, eps)
             except (ValueError, OverflowError) as exc:
                 raise EvaluationError(t, str(exc)) from exc
         raise EvaluationError(t, f"unknown operator {e.op!r}")
     if isinstance(e, Call):
-        x = reference_eval(e.arg, t)
+        x = reference_eval(e.arg, t, eps)
         try:
-            return _ref_apply(e.fname, x, t)
+            return _ref_apply(e.fname, x, t, eps)
         except EvaluationError:
             raise
         except (ValueError, OverflowError) as exc:
@@ -199,28 +198,31 @@ def _trees(seed, count, max_depth=4):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_compiled_samples_match_reference_bitwise(seed):
-    failures = values = 0
-    for tree in _trees(seed, 60):
-        f = compile(tree)
-        for p in _GRIDS:
-            tags = p.tags.tolist()
-            ref = [_outcome(reference_eval, tree, x) for x in tags]
-            ok = np.array([r[0] == "value" for r in ref])
-            if ok.any():
-                got = f.fn(p.tags[ok])
-                want = [r[1] for r in ref if r[0] == "value"]
-                assert all(_same_bits(g, w) for g, w in zip(got.tolist(), want)), tree
-                values += int(ok.sum())
-            for x, r in zip(tags, ref):
-                if r[0] == "error":
-                    assert _outcome(f, x) == r, (tree, x)
-                    failures += 1
-            assert _same_outcome(
-                _outcome(riemann_sum, f, p),
-                _outcome(reference_riemann_sum, lambda x: reference_eval(tree, x), p),
-            ), tree
-    # the grids exercise both sides
-    assert values > 1000 and failures > 100
+    # At eps 1e-9 the bits differ from the default's, so a compile that
+    # dropped eps anywhere in the tower would fail here.
+    for eps in (1e-9, 1e-14):
+        failures = values = 0
+        for tree in _trees(seed, 60):
+            f = compile(tree, eps)
+            for p in _GRIDS:
+                tags = p.tags.tolist()
+                ref = [_outcome(reference_eval, tree, x, eps) for x in tags]
+                ok = np.array([r[0] == "value" for r in ref])
+                if ok.any():
+                    got = f.fn(p.tags[ok])
+                    want = [r[1] for r in ref if r[0] == "value"]
+                    assert all(_same_bits(g, w) for g, w in zip(got.tolist(), want)), tree
+                    values += int(ok.sum())
+                for x, r in zip(tags, ref):
+                    if r[0] == "error":
+                        assert _outcome(f, x) == r, (tree, x)
+                        failures += 1
+                assert _same_outcome(
+                    _outcome(riemann_sum, f, p),
+                    _outcome(reference_riemann_sum, lambda x: reference_eval(tree, x, eps), p),
+                ), tree
+        # the grids exercise both sides
+        assert values > 1000 and failures > 100
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

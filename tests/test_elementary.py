@@ -402,15 +402,41 @@ def _trig_inverse_reference(kind, y, eps):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
 def test_trig_inverses_keep_their_bits(eps):
+    # arcsin keeps the plain bisection only for |y| <= 1/2; above it, see
+    # test_arcsin_near_one_within_eps.
     rng = random.Random(7)
     draws = {
-        "arcsin": lambda: rng.choice((rng.uniform(-1.0, 1.0), 1.0 - 10.0 ** rng.uniform(-16, 0), -1.0)),
+        "arcsin": lambda: rng.uniform(-0.5, 0.5),
         "arctan": lambda: rng.choice((-1, 1)) * 10.0 ** rng.uniform(-20, 20),
     }
     for kind, draw in draws.items():
         for _ in range(300):
             y = draw()
             assert inverse_fn(kind, y, eps) == _trig_inverse_reference(kind, y, eps), (kind, y)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+def test_arcsin_near_one_within_eps(eps, monkeypatch):
+    # Bisecting the flat platform sin near pi/2 missed eps by up to 3e5-fold
+    # here; the half-angle form takes the same number of sin calls as a
+    # bisection below 1/2.
+    calls = 0
+    real_sin = math.sin
+
+    def counted_sin(x):
+        nonlocal calls
+        calls += 1
+        return real_sin(x)
+
+    monkeypatch.setattr(math, "sin", counted_sin)
+    inverse_fn("arcsin", 0.3, eps)
+    steps, calls = calls, 0
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        y = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-16.0, math.log10(0.5)))
+        want = math.asin(y)
+        assert abs(inverse_fn("arcsin", y, eps) - want) <= eps + 2.0 * math.ulp(want), y
+    assert calls == 2000 * steps
 
 
 _IMPORTED = {"log", "log1p", "log2", "log10", "exp", "expm1", "pow", "asinh", "acosh", "atanh"}

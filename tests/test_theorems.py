@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+import rfcalc.partitions
+import rfcalc.theorems
 from rfcalc.elementary import exp_construct, log_construct
 from rfcalc.errors import HypothesisViolation, InvalidArgumentError
 from rfcalc.integrator import integrate_improper
@@ -211,3 +213,26 @@ def test_improper_catalog_rows_sample_budget(name):
     r = integrate_improper(entry.integrand, entry.lo, entry.hi, entry.improper_end, 5e-7)
     assert r.converged
     assert r.evaluations <= 100_000
+
+
+def test_catalog_takes_the_array_path(monkeypatch):
+    # Catalog integrands are compiled expressions, so each Riemann sum takes
+    # its samples in one array call, never tag by tag; and the tower is
+    # reached only through expr, never from theorems' own imports.
+    calls = 0
+    scalar_samples = rfcalc.partitions._scalar_samples
+
+    def counted(f, tags):
+        nonlocal calls
+        calls += 1
+        return scalar_samples(f, tags)
+
+    def forbidden(*args):
+        raise AssertionError(f"constructed function called from theorems with {args}")
+
+    monkeypatch.setattr(rfcalc.partitions, "_scalar_samples", counted)
+    for name in ("exp_construct", "log_construct", "pow_construct", "hyperbolic", "inverse_fn"):
+        monkeypatch.setattr(rfcalc.theorems, name, forbidden)
+    assert all(r.passed for r in run_catalog(1e-6))
+    assert all(r.passed for r in product_chain_check(1e-5))
+    assert calls == 0
