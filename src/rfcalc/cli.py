@@ -193,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_catalog(tol, name_filter=args.filter)
     try:
         # The failure row below stands for the whole section, so a filter
-        # that selects it runs every showcase.
+        # that selects it runs and reports every showcase.
         shows = substitution_showcases(
             tol, None if selected("substitution-showcases") else args.filter)
     except HypothesisViolation as exc:
@@ -205,9 +205,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )]
     reports += derivative_table_check(fd_tol, args.filter)
     reports += product_chain_check(fd_tol, args.filter)
-    reports += [r for r in shows if selected(r.name)]
+    reports += shows
     if selected("log-functional-equation"):
         reports.append(functional_equation_check(args.seed))
+    if not reports:
+        raise _UsageError(f"--filter {args.filter!r} selects no check")
     _emit_reports(reports, args.output)
     if all(r.passed for r in reports):
         return 0

@@ -236,6 +236,8 @@ class _Faults:
         self.message = ""
 
     def mark(self, where: np.ndarray, message: str) -> None:
+        if where.size == 0:  # an empty array has no argmax
+            return
         k = int(where.argmax())
         if where[k] and k < self.index:
             self.index, self.message = k, message

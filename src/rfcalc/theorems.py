@@ -1,10 +1,13 @@
 """Numerical checkers for the substitution theorems, both directions of the
-fundamental theorem, a 14-row derivative table, and a catalog of definite
-integrals whose closed forms come from the constructive tower.
+fundamental theorem, and a catalog of definite integrals whose closed forms
+come from the constructive tower.
 
-The catalog and the product and chain rule rows are written in the
-expression language and compiled by expr: a catalog integrand is an array
-integrand, and its closed form is F(hi) - F(lo) for the compiled F.
+The catalog is one table of (integrand f, antiderivative F) source strings
+in the expression language, compiled by expr, and it is checked in both
+directions: the integral of f over [lo, hi] against F(hi) - F(lo), and the
+central difference of F against f inside [lo, hi] (the derivative rows,
+named deriv-<row name>).  The product and chain rule rows are written in
+the same language.
 
 Every checker returns CheckReport rows rather than raising on failure;
 the only exceptions raised are hypothesis violations (a caller-supplied
@@ -18,17 +21,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .elementary import (
-    e_const,
-    exp_construct,
-    hyperbolic,
-    inverse_fn,
-    log_construct,
-    pow_construct,
-)
+import numpy as np
+
+from .elementary import e_const, inverse_fn, log_construct
 from .errors import HypothesisViolation, InvalidArgumentError
 from .expr import compile, parse
 from .integrator import cumulative, integrate, integrate_improper
+from .partitions import ArrayFn
 
 Fn = Callable[[float], float]
 
@@ -195,91 +194,32 @@ def ftc_reverse_check(big_g: Fn, dg: Fn, a: float, b: float, tol: float) -> Chec
     )
 
 
-def _diff_step(x: float) -> float:
-    # 2^-13 balances h^2 truncation against ulp/h cancellation in doubles.
-    return math.ldexp(max(1.0, abs(x)), -13)
-
-
-def _central_diff(fn: Fn, x: float, h: float) -> float:
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-
-def _max_deviation_report(
-    name: str, fn: Fn, dfn: Fn, points: Sequence[float], tol: float, anchor: str
-) -> CheckReport:
-    pairs = ((_central_diff(fn, x, _diff_step(x)), dfn(x)) for x in points)
-    return _worst_report(name, pairs, tol, anchor)
-
-
 def _interior_points(lo: float, hi: float, count: int) -> list[float]:
     step = (hi - lo) / count
     return [lo + step * (i + 0.5) for i in range(count)]
 
 
-_TABLE_EPS = 1e-12
-_TABLE_POINTS = 16
+def _derivative_report(
+    name: str, big_f: ArrayFn, f: ArrayFn, points: Sequence[float], tol: float, anchor: str
+) -> CheckReport:
+    """Worst gap between the central difference of big_f and f over points.
 
-
-def _table_rows() -> list[tuple[str, Fn, Fn, float, float, str]]:
-    eps = _TABLE_EPS
-    heps = 1e-14
-    return [
-        ("deriv-power-1",
-         lambda x: pow_construct(x, 1.0, eps), lambda x: 1.0,
-         0.25, 4.0, "d/dx x^a = a x^(a-1) at a=1"),
-        ("deriv-power-3/2",
-         lambda x: pow_construct(x, 1.5, eps),
-         lambda x: 1.5 * pow_construct(x, 0.5, eps),
-         0.25, 4.0, "d/dx x^a = a x^(a-1) at a=3/2"),
-        ("deriv-exp", lambda x: exp_construct(x, eps), lambda x: exp_construct(x, eps),
-         -1.0, 2.0, "d/dx exp x = exp x"),
-        ("deriv-log", lambda x: log_construct(x, eps).value, lambda x: 1.0 / x,
-         0.5, 4.0, "d/dx log x = 1/x"),
-        ("deriv-sin", math.sin, math.cos, -2.0, 2.0, "d/dx sin x = cos x"),
-        ("deriv-cos", math.cos, lambda x: -math.sin(x), -2.0, 2.0, "d/dx cos x = -sin x"),
-        ("deriv-tan", math.tan, lambda x: 1.0 / math.cos(x) ** 2,
-         -1.2, 1.2, "d/dx tan x = sec^2 x"),
-        ("deriv-cot", lambda x: math.cos(x) / math.sin(x),
-         lambda x: -1.0 / math.sin(x) ** 2,
-         0.4, 2.7, "d/dx cot x = -csc^2 x"),
-        ("deriv-arctan", lambda x: inverse_fn("arctan", x, eps),
-         lambda x: 1.0 / (1.0 + x * x),
-         -3.0, 3.0, "d/dx arctan x = 1/(1+x^2)"),
-        ("deriv-arcsin", lambda x: inverse_fn("arcsin", x, eps),
-         lambda x: 1.0 / math.sqrt(1.0 - x * x),
-         -0.9, 0.9, "d/dx arcsin x = 1/sqrt(1-x^2)"),
-        ("deriv-sinh", lambda x: hyperbolic("sinh", x, heps),
-         lambda x: hyperbolic("cosh", x, heps),
-         -2.0, 2.0, "d/dx sinh x = cosh x"),
-        ("deriv-cosh", lambda x: hyperbolic("cosh", x, heps),
-         lambda x: hyperbolic("sinh", x, heps),
-         -2.0, 2.0, "d/dx cosh x = sinh x"),
-        ("deriv-tanh", lambda x: hyperbolic("tanh", x, heps),
-         lambda x: hyperbolic("sech2", x, heps),
-         -2.0, 2.0, "d/dx tanh x = sech^2 x"),
-        ("deriv-arsinh", lambda x: inverse_fn("arsinh", x, eps),
-         lambda x: 1.0 / math.sqrt(1.0 + x * x),
-         -2.0, 2.0, "d/dx arsinh x = 1/sqrt(1+x^2)"),
-    ]
-
-
-def derivative_table_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
-    """Central-difference check of the 14 derivative-table rows.
-
-    name_filter keeps only rows whose name contains the substring, skipping
-    the rest before any evaluation.
+    big_f is evaluated at every x + h and x - h in one array call, f at
+    every x in another; the step h = 2^-13 max(1, |x|) balances h^2
+    truncation against ulp/h cancellation in doubles.
     """
-    if not tol > 0:
-        raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    return [
-        _max_deviation_report(name, fn, dfn, _interior_points(lo, hi, _TABLE_POINTS), tol, anchor)
-        for name, fn, dfn, lo, hi, anchor in _table_rows()
-        if name_selected(name, name_filter)
-    ]
+    x = np.array(points, dtype=float)
+    h = np.ldexp(np.maximum(1.0, np.abs(x)), -13)
+    ends = big_f.fn(np.concatenate((x + h, x - h)))
+    slopes = (ends[: x.size] - ends[x.size:]) / (2.0 * h)
+    return _worst_report(name, zip(slopes.tolist(), f.fn(x).tolist()), tol, anchor)
 
 
 def product_chain_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
-    """Product rule on sin * exp and chain rule on sin(t^2); name_filter as above."""
+    """Product rule on sin * exp and chain rule on sin(t^2).
+
+    name_filter keeps only rows whose name contains the substring.
+    """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     rows = [
@@ -289,8 +229,7 @@ def product_chain_check(tol: float, name_filter: Optional[str] = None) -> list[C
          _interior_points(-1.5, 1.5, 8) + [1.0], "d/dx F(G(x)) = f(G(x)) g(x)"),
     ]
     return [
-        _max_deviation_report(name, compile(parse(fn), _TABLE_EPS),
-                              compile(parse(dfn), _TABLE_EPS), pts, tol, anchor)
+        _derivative_report(name, _closed(fn), _closed(dfn), pts, tol, anchor)
         for name, fn, dfn, pts, anchor in rows
         if name_selected(name, name_filter)
     ]
@@ -300,6 +239,8 @@ def functional_equation_check(
     seed: int, pairs: int = 200, tol: float = 3e-12
 ) -> CheckReport:
     """Worst |log(xy) - log x - log y| over seeded pairs in [2^-8, 2^8]."""
+    if pairs < 1:
+        raise InvalidArgumentError(f"need at least one pair, got {pairs}")
     rng = random.Random(seed)
 
     def sampled() -> Iterator[tuple[float, float]]:
@@ -325,7 +266,9 @@ class CatalogEntry:
     improper_end: Optional[str] = None
 
 
+# Accuracy of the closed forms, the derivative rows and the showcases.
 _CLOSED_EPS = 1e-12
+_TABLE_POINTS = 16
 
 # (name, integrand f, antiderivative F, lo, hi, anchor[, singular end]): the
 # closed form of the integral of f over [lo, hi] is F(hi) - F(lo).
@@ -377,11 +320,15 @@ def _difference(big_f: Fn) -> Callable[[float, float], float]:
     return lambda a, b: big_f(b) - big_f(a)
 
 
+def _closed(source: str) -> ArrayFn:
+    return compile(parse(source), _CLOSED_EPS)
+
+
 def _catalog_entries(eps: float, name_filter: Optional[str] = None) -> list[CatalogEntry]:
     """The catalog rows name_filter selects, compiled; eps controls
     integrand-side precision."""
     return [
-        CatalogEntry(name, compile(parse(f), eps), _difference(compile(parse(big_f), _CLOSED_EPS)),
+        CatalogEntry(name, compile(parse(f), eps), _difference(_closed(big_f)),
                      lo, hi, anchor, *end)
         for name, f, big_f, lo, hi, anchor, *end in _CATALOG
         if name_selected(name, name_filter)
@@ -411,6 +358,25 @@ def run_catalog(tol: float, name_filter: Optional[str] = None) -> list[CheckRepo
     return sorted((_run_entry(e, tol) for e in entries), key=lambda r: r.name)
 
 
+def derivative_table_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
+    """The catalog read across the fundamental theorem: for each row with
+    integrand f and antiderivative F, a report named deriv-<row name>
+    checking that the central difference of F matches f at 16 interior
+    points of the row's [lo, hi].
+
+    name_filter keeps only rows whose name contains the substring, skipping
+    the rest before they are compiled.
+    """
+    if not tol > 0:
+        raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
+    return [
+        _derivative_report(f"deriv-{name}", _closed(big_f), _closed(f),
+                           _interior_points(lo, hi, _TABLE_POINTS), tol, f"d/dt {big_f} = {f}")
+        for name, f, big_f, lo, hi, *_ in _CATALOG
+        if name_selected(f"deriv-{name}", name_filter)
+    ]
+
+
 def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
     """The worked substitution and parts examples as named reports.
 
@@ -419,7 +385,7 @@ def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> lis
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    eps = _TABLE_EPS
+    eps = _CLOSED_EPS
     e_val = e_const(eps)
     showcases = [
         ("usub-arctan", check_u_sub, (

@@ -145,7 +145,15 @@ def test_verify_filtered_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--filter", "cube")
     assert code == 0
     assert "PASS cube-integral" in out
-    assert out.splitlines()[-1] == "1/1 checks passed"
+    assert "PASS deriv-cube-integral" in out
+    assert out.splitlines()[-1] == "2/2 checks passed"
+
+
+def test_verify_filter_that_selects_nothing_exits_1(capsys):
+    code, out, err = run_cli(capsys, "verify", "--filter", "nomatch")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --filter 'nomatch' selects no check\n"
 
 
 def test_verify_exit_3_on_failure(capsys):
@@ -163,6 +171,23 @@ def test_verify_filter_restricts_unfiltered_rows(capsys):
         code, out, _ = run_cli(capsys, "verify", "--filter", name_filter, "--output", "csv")
         assert code == 0
         assert out.splitlines() == [header] + [r for r in rows if name_filter in r.split(",")[0]]
+
+
+def test_verify_showcase_failure_is_reported_under_a_narrow_filter(capsys):
+    # usub-half-log's hypothesis check cannot hold at tol 1e-16; the row
+    # standing for the section reports it, whatever the filter's name.
+    code, out, _ = run_cli(capsys, "verify", "--filter", "usub-half", "--tol", "1e-16")
+    assert code == 3
+    assert out.startswith("FAIL substitution-showcases ")
+    assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_verify_section_filter_reports_every_showcase(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--filter", "showcases", "--output", "csv")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
+        "usub-arctan", "usub-identity", "usub-half-log", "parts-log", "parts-tt", "parts-arctan",
+    ]
 
 
 def test_verify_filter_integrates_only_matching_rows(capsys, monkeypatch):
@@ -184,12 +209,16 @@ def test_verify_filter_integrates_only_matching_rows(capsys, monkeypatch):
 
 def test_verify_csv_output(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--filter", "deriv-power", "--output", "csv"
+        capsys, "verify", "--filter", "sqrt-power", "--output", "csv"
     )
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "name,lhs,rhs,abs_diff,tol,pass,anchor"
-    assert len(lines) == 3  # two table rows match the filter
+    # (inv)sqrt-power-integral and their two deriv- rows
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "invsqrt-power-integral", "sqrt-power-integral",
+        "deriv-sqrt-power-integral", "deriv-invsqrt-power-integral",
+    ]
     assert all(line.split(",")[5] == "true" for line in lines[1:])
 
 

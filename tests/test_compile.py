@@ -369,6 +369,19 @@ def test_eval_expr_on_a_float_and_on_an_array():
     assert isinstance(eval_expr(tree, 0.5), float)
 
 
+# sin, cos, sec, csc, cot, sqrt, 1/t and t^-2 each reach a different fault
+# mark; the rest mark nothing.
+@pytest.mark.parametrize(
+    "src", ["sin(t)", "cos(t)", "sec(t)", "csc(t)", "cot(t)", "sqrt(t)", "1/t", "t^-2",
+            "t", "exp(t)", "tan(t)", "t^0.5", "2"],
+)
+def test_empty_array_gives_an_empty_array(src):
+    empty = np.empty(0)
+    got = eval_expr(parse(src), empty)
+    assert got.dtype == np.float64 and got.shape == (0,)
+    assert compile(parse(src), 1e-9).fn(empty).shape == (0,)
+
+
 def test_compile_rejects_unknown_nodes():
     for tree in (Call("foo", Var()), Binary("%", Var(), Var()), "t"):
         with pytest.raises(InvalidArgumentError):

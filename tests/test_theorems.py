@@ -21,6 +21,7 @@ from rfcalc.theorems import (
     reports_to_csv,
     run_catalog,
     substitution_showcases,
+    _CATALOG,
     _catalog_entries,
 )
 
@@ -72,10 +73,25 @@ def test_catalog_anchors_are_csv_safe(catalog_run):
 
 
 def test_derivative_table_all_pass(table_reports):
-    assert len(table_reports) == 14
+    # The derivative rows are the catalog read across the fundamental
+    # theorem: one per (f, F) pair, named after it, anchored on its sources.
+    assert [r.name for r in table_reports] == [f"deriv-{row[0]}" for row in _CATALOG]
     assert all(r.passed for r in table_reports)
-    names = {r.name for r in table_reports}
-    assert "deriv-exp" in names and "deriv-arcsin" in names
+    for report, (_, f, big_f, *_) in zip(table_reports, _CATALOG):
+        assert report.anchor == f"d/dt {big_f} = {f}"
+        assert "," not in report.anchor and "\n" not in report.anchor
+
+
+def test_corrupted_antiderivative_fails_both_directions(monkeypatch):
+    catalog = tuple(
+        (name, f, "t^4/4+t^2/1000" if name == "cube-integral" else big_f, *rest)
+        for name, f, big_f, *rest in _CATALOG
+    )
+    monkeypatch.setattr(rfcalc.theorems, "_CATALOG", catalog)
+    [integral] = run_catalog(1e-6, name_filter="cube")
+    [slope] = derivative_table_check(1e-5, name_filter="cube")
+    assert (integral.name, slope.name) == ("cube-integral", "deriv-cube-integral")
+    assert not integral.passed and not slope.passed
 
 
 def test_product_and_chain_rules():
@@ -185,6 +201,13 @@ def test_functional_equation_is_seeded():
     assert (a.lhs, a.rhs) != (c.lhs, c.rhs)
 
 
+@pytest.mark.parametrize("pairs", [0, -1])
+def test_functional_equation_needs_a_pair(pairs):
+    # No pair sampled is no check at all, not a vacuous pass.
+    with pytest.raises(InvalidArgumentError, match="at least one pair"):
+        functional_equation_check(7, pairs=pairs)
+
+
 def test_functional_equation_tight():
     rep = functional_equation_check(42)
     assert rep.abs_diff <= 3e-12
@@ -218,7 +241,8 @@ def test_improper_catalog_rows_sample_budget(name):
 def test_catalog_takes_the_array_path(monkeypatch):
     # Catalog integrands are compiled expressions, so each Riemann sum takes
     # its samples in one array call, never tag by tag; and the tower is
-    # reached only through expr, never from theorems' own imports.
+    # reached only through expr, never from theorems' own imports, which
+    # hold neither exp, pow nor the hyperbolics.
     calls = 0
     scalar_samples = rfcalc.partitions._scalar_samples
 
@@ -231,8 +255,11 @@ def test_catalog_takes_the_array_path(monkeypatch):
         raise AssertionError(f"constructed function called from theorems with {args}")
 
     monkeypatch.setattr(rfcalc.partitions, "_scalar_samples", counted)
-    for name in ("exp_construct", "log_construct", "pow_construct", "hyperbolic", "inverse_fn"):
+    for name in ("exp_construct", "pow_construct", "hyperbolic"):
+        assert not hasattr(rfcalc.theorems, name)
+    for name in ("log_construct", "inverse_fn"):
         monkeypatch.setattr(rfcalc.theorems, name, forbidden)
     assert all(r.passed for r in run_catalog(1e-6))
+    assert all(r.passed for r in derivative_table_check(1e-5))
     assert all(r.passed for r in product_chain_check(1e-5))
     assert calls == 0
