@@ -43,7 +43,7 @@ from .errors import (
     InvalidArgumentError,
     ParseError,
 )
-from .expr import eval_expr, parse, random_expr, to_source
+from .expr import eval_expr, parse, random_expr, substitute, to_source
 from .integrator import (
     DEFAULT_MAX_N,
     ConvergenceReport,
@@ -67,7 +67,6 @@ from .partitions import (
     uniform_partition,
 )
 from .theorems import (
-    CatalogEntry,
     CheckReport,
     check_parts,
     check_u_sub,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxValue",
-    "CatalogEntry",
     "CheckReport",
     "ConvergenceReport",
     "DEFAULT_MAX_N",
@@ -140,6 +138,7 @@ __all__ = [
     "sec2_riemann_sum",
     "sectan_riemann_sum",
     "sectan_telescope",
+    "substitute",
     "substitution_showcases",
     "telescope_csc2",
     "telescope_sec2",

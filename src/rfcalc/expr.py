@@ -12,7 +12,8 @@ from a function name to the tower; theorems writes its catalog in this
 language.  Each element gets the same bits, and the same domain errors, as
 evaluating the tree at that point alone, provided numpy's sin and cos give
 math's bits (tests/test_compile.py checks that they do).  eval_expr(e, t)
-compiles e and applies it to a float or an array of t.
+compiles e and applies it to a float or an array of t, and substitute(e, g)
+builds the tree of the composition e(g(t)).
 """
 
 from __future__ import annotations
@@ -214,6 +215,19 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     return _Parser(text).parse()
+
+
+def substitute(e: Expr, g: Expr) -> Expr:
+    """The tree of e(g(t)): e with every Var replaced by g."""
+    if isinstance(e, Var):
+        return g
+    if isinstance(e, Unary):
+        return Unary(substitute(e.child, g))
+    if isinstance(e, Binary):
+        return Binary(e.op, substitute(e.left, g), substitute(e.right, g))
+    if isinstance(e, Call):
+        return Call(e.fname, substitute(e.arg, g))
+    return e
 
 
 _EVAL_EPS = 1e-14

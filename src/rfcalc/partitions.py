@@ -7,11 +7,13 @@ The Riemann sum of f over such a partition is
     S(f, P) = sum_k f(xi_k) * (t_{k+1} - t_k)
 
 evaluated left to right with compensated summation, so the result is the
-correctly rounded value of the exact sum of the computed terms.  Everything
-downstream (the integrator, the telescoping evaluators, the theorem checks)
-reduces to this one primitive.  An integrand is either a Python callable,
-sampled once per tag, or an ArrayFn, which takes all the tags of a sum in
-one call over a float64 array; the summation is the same for both.
+correctly rounded value of the exact sum of the computed terms.  The
+integrator, and through it the theorem checks and the CLI, reduce to this
+one primitive; the constructed log (elementary) and the telescoping
+evaluators (direct_eval) write their sums by hand and never call it.  An
+integrand is either a Python callable, sampled once per tag, or an ArrayFn,
+which takes all the tags of a sum in one call over a float64 array; the
+summation is the same for both.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ The catalog is one table of (integrand f, antiderivative F) source strings
 in the expression language, compiled by expr, and it is checked in both
 directions: the integral of f over [lo, hi] against F(hi) - F(lo), and the
 central difference of F against f inside [lo, hi] (the derivative rows,
-named deriv-<row name>).  The product and chain rule rows are written in
-the same language.
+named deriv-<row name>).  The product and chain rule rows, and the
+substitution and parts showcases, are written in the same language: a
+showcase's integrand f(G(t))g(t) is the one tree expr.substitute(f, G)*g.
 
 Every checker returns CheckReport rows rather than raising on failure;
 the only exceptions raised are hypothesis violations (a caller-supplied
@@ -23,9 +24,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .elementary import e_const, inverse_fn, log_construct
+from .elementary import log_construct
 from .errors import HypothesisViolation, InvalidArgumentError
-from .expr import compile, parse
+from .expr import Binary, Expr, compile, parse, substitute
 from .integrator import cumulative, integrate, integrate_improper
 from .partitions import ArrayFn
 
@@ -104,10 +105,14 @@ def _verify_antiderivative(big_g: Fn, g: Fn, a: float, b: float, tol: float, lab
             )
 
 
+def _product(left: Expr, right: Expr) -> ArrayFn:
+    return compile(Binary("*", left, right), _CLOSED_EPS)
+
+
 def check_u_sub(
-    f: Fn,
-    big_g: Fn,
-    g: Fn,
+    f: str,
+    big_g: str,
+    g: str,
     a: float,
     b: float,
     tol: float,
@@ -115,39 +120,45 @@ def check_u_sub(
 ) -> CheckReport:
     """Change of variables: integral of f(G(t))g(t) vs f over [G(a), G(b)].
 
-    G must be an antiderivative of g on [a, b]; that hypothesis is
-    spot-checked and violations raise rather than report.
+    f, G and g are expression sources in t; the left integrand is the one
+    tree substitute(f, G)*g.  G must be an antiderivative of g on [a, b];
+    that hypothesis is spot-checked and violations raise rather than report.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    _verify_antiderivative(big_g, g, a, b, tol, "substitution inner function")
-    lhs = integrate(lambda t: f(big_g(t)) * g(t), a, b, tol / 4.0).value
-    rhs = integrate(f, big_g(a), big_g(b), tol / 4.0).value
+    inner = _closed(big_g)
+    _verify_antiderivative(inner, _closed(g), a, b, tol, "substitution inner function")
+    lhs = integrate(_product(substitute(parse(f), parse(big_g)), parse(g)), a, b, tol / 4.0).value
+    rhs = integrate(_closed(f), inner(a), inner(b), tol / 4.0).value
     return make_report(
         name, lhs, rhs, tol, "int[a..b] f(G(t)) g(t) dt = int[G(a)..G(b)] f(u) du"
     )
 
 
 def check_parts(
-    u: Fn,
-    p: Fn,
-    v: Fn,
-    q: Fn,
+    u: str,
+    p: str,
+    v: str,
+    q: str,
     a: float,
     b: float,
     tol: float,
     name: str = "integration-by-parts",
 ) -> CheckReport:
-    """Integration by parts: int p v + int u q vs the boundary term."""
+    """Integration by parts: int p v + int u q vs the boundary term.
+
+    u, p = u', v and q = v' are expression sources in t.
+    """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    _verify_antiderivative(u, p, a, b, tol, "parts factor u")
-    _verify_antiderivative(v, q, a, b, tol, "parts factor v")
+    u_fn, v_fn = _closed(u), _closed(v)
+    _verify_antiderivative(u_fn, _closed(p), a, b, tol, "parts factor u")
+    _verify_antiderivative(v_fn, _closed(q), a, b, tol, "parts factor v")
     lhs = (
-        integrate(lambda t: p(t) * v(t), a, b, tol / 4.0).value
-        + integrate(lambda t: u(t) * q(t), a, b, tol / 4.0).value
+        integrate(_product(parse(p), parse(v)), a, b, tol / 4.0).value
+        + integrate(_product(parse(u), parse(q)), a, b, tol / 4.0).value
     )
-    rhs = u(b) * v(b) - u(a) * v(a)
+    rhs = u_fn(b) * v_fn(b) - u_fn(a) * v_fn(a)
     return make_report(
         name, lhs, rhs, tol, "int[a..b] p v dt + int[a..b] u q dt = u(b)v(b) - u(a)v(a)"
     )
@@ -200,16 +211,21 @@ def _interior_points(lo: float, hi: float, count: int) -> list[float]:
 
 
 def _derivative_report(
-    name: str, big_f: ArrayFn, f: ArrayFn, points: Sequence[float], tol: float, anchor: str
+    name: str, big_f: ArrayFn, f: ArrayFn, points: Sequence[float], tol: float, anchor: str,
+    pole: Optional[float] = None,
 ) -> CheckReport:
     """Worst gap between the central difference of big_f and f over points.
 
     big_f is evaluated at every x + h and x - h in one array call, f at
     every x in another; the step h = 2^-13 max(1, |x|) balances h^2
-    truncation against ulp/h cancellation in doubles.
+    truncation against ulp/h cancellation in doubles.  Near a singular end
+    pole the derivatives of big_f grow like powers of 1/|x - pole|, so h is
+    capped at 2^-10 |x - pole| to keep the truncation term small there too.
     """
     x = np.array(points, dtype=float)
     h = np.ldexp(np.maximum(1.0, np.abs(x)), -13)
+    if pole is not None:
+        h = np.minimum(h, np.ldexp(np.abs(x - pole), -10))
     ends = big_f.fn(np.concatenate((x + h, x - h)))
     slopes = (ends[: x.size] - ends[x.size:]) / (2.0 * h)
     return _worst_report(name, zip(slopes.tolist(), f.fn(x).tolist()), tol, anchor)
@@ -251,19 +267,6 @@ def functional_equation_check(
                    log_construct(x, 1e-12).value + log_construct(y, 1e-12).value)
 
     return _worst_report("log-functional-equation", sampled(), tol, "log(xy) = log x + log y")
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A definite integral with a closed form from the constructive tower."""
-
-    name: str
-    integrand: Fn
-    closed_form: Callable[[float, float], float]
-    lo: float
-    hi: float
-    anchor: str
-    improper_end: Optional[str] = None
 
 
 # Accuracy of the closed forms, the derivative rows and the showcases.
@@ -316,46 +319,38 @@ _CATALOG = (
 )
 
 
-def _difference(big_f: Fn) -> Callable[[float, float], float]:
-    return lambda a, b: big_f(b) - big_f(a)
-
-
 def _closed(source: str) -> ArrayFn:
     return compile(parse(source), _CLOSED_EPS)
 
 
-def _catalog_entries(eps: float, name_filter: Optional[str] = None) -> list[CatalogEntry]:
-    """The catalog rows name_filter selects, compiled; eps controls
-    integrand-side precision."""
-    return [
-        CatalogEntry(name, compile(parse(f), eps), _difference(_closed(big_f)),
-                     lo, hi, anchor, *end)
-        for name, f, big_f, lo, hi, anchor, *end in _CATALOG
-        if name_selected(name, name_filter)
-    ]
-
-
-def _run_entry(entry: CatalogEntry, tol: float) -> CheckReport:
-    qtol = tol / 2.0
-    if entry.improper_end is not None:
-        result = integrate_improper(entry.integrand, entry.lo, entry.hi, entry.improper_end, qtol)
-    else:
-        result = integrate(entry.integrand, entry.lo, entry.hi, qtol)
-    rhs = entry.closed_form(entry.lo, entry.hi)
-    return make_report(entry.name, result.value, rhs, tol, entry.anchor)
+def _singular_point(lo: float, hi: float, end: Optional[str] = None) -> Optional[float]:
+    """The catalog row's singular end as a point, None for a proper row."""
+    return {"lower": lo, "upper": hi}.get(end)
 
 
 def run_catalog(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
-    """Integrate every catalog entry and compare with its closed form.
+    """Integrate every catalog row's f over [lo, hi], improper at its
+    singular end if it has one, and compare with F(hi) - F(lo).
 
-    Reports come back sorted by name.  name_filter keeps only entries whose
+    Reports come back sorted by name.  name_filter keeps only rows whose
     name contains the substring, skipping the rest before they are
-    compiled.
+    compiled.  The integrands are compiled at eps tol/1000, at least 1e-13.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    entries = _catalog_entries(max(1e-13, tol * 1e-3), name_filter)
-    return sorted((_run_entry(e, tol) for e in entries), key=lambda r: r.name)
+    eps, qtol = max(1e-13, tol * 1e-3), tol / 2.0
+    reports = []
+    for name, f, big_f, lo, hi, anchor, *end in _CATALOG:
+        if not name_selected(name, name_filter):
+            continue
+        integrand = compile(parse(f), eps)
+        if end:
+            result = integrate_improper(integrand, lo, hi, end[0], qtol)
+        else:
+            result = integrate(integrand, lo, hi, qtol)
+        closed = _closed(big_f)
+        reports.append(make_report(name, result.value, closed(hi) - closed(lo), tol, anchor))
+    return sorted(reports, key=lambda r: r.name)
 
 
 def derivative_table_check(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
@@ -371,10 +366,24 @@ def derivative_table_check(tol: float, name_filter: Optional[str] = None) -> lis
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     return [
         _derivative_report(f"deriv-{name}", _closed(big_f), _closed(f),
-                           _interior_points(lo, hi, _TABLE_POINTS), tol, f"d/dt {big_f} = {f}")
-        for name, f, big_f, lo, hi, *_ in _CATALOG
+                           _interior_points(lo, hi, _TABLE_POINTS), tol, f"d/dt {big_f} = {f}",
+                           _singular_point(lo, hi, *end))
+        for name, f, big_f, lo, hi, _, *end in _CATALOG
         if name_selected(f"deriv-{name}", name_filter)
     ]
+
+
+# (name, checker, a, b, sources): the worked substitution and parts examples
+# on [a, b].  The sources are f, G, g for check_u_sub and u, u', v, v' for
+# check_parts; a and b are constants written in the same language.
+_SHOWCASES = (
+    ("usub-arctan", check_u_sub, "0", "pi/4", "1/(1+t^2)", "tan(t)", "1/cos(t)^2"),
+    ("usub-identity", check_u_sub, "0", "1", "cos(t)", "t", "1"),
+    ("usub-half-log", check_u_sub, "0", "1", "1/(2*t)", "1+t^2", "2*t"),
+    ("parts-log", check_parts, "1", "exp(1)", "log(t)", "1/t", "t", "1"),
+    ("parts-tt", check_parts, "0", "1", "t", "1", "t", "1"),
+    ("parts-arctan", check_parts, "0", "1", "atan(t)", "1/(1+t^2)", "t", "1"),
+)
 
 
 def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> list[CheckReport]:
@@ -385,34 +394,8 @@ def substitution_showcases(tol: float, name_filter: Optional[str] = None) -> lis
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
-    eps = _CLOSED_EPS
-    e_val = e_const(eps)
-    showcases = [
-        ("usub-arctan", check_u_sub, (
-            lambda u: 1.0 / (1.0 + u * u), math.tan,
-            lambda t: 1.0 / math.cos(t) ** 2,
-            0.0, 0.25 * math.pi)),
-        ("usub-identity", check_u_sub, (
-            math.cos, lambda t: t, lambda t: 1.0,
-            0.0, 1.0)),
-        ("usub-half-log", check_u_sub, (
-            lambda u: 1.0 / (2.0 * u), lambda t: 1.0 + t * t,
-            lambda t: 2.0 * t,
-            0.0, 1.0)),
-        ("parts-log", check_parts, (
-            lambda t: log_construct(t, eps).value, lambda t: 1.0 / t,
-            lambda t: t, lambda t: 1.0,
-            1.0, e_val)),
-        ("parts-tt", check_parts, (
-            lambda t: t, lambda t: 1.0, lambda t: t, lambda t: 1.0,
-            0.0, 1.0)),
-        ("parts-arctan", check_parts, (
-            lambda t: inverse_fn("arctan", t, eps), lambda t: 1.0 / (1.0 + t * t),
-            lambda t: t, lambda t: 1.0,
-            0.0, 1.0)),
-    ]
     return [
-        check(*args, tol, name=name)
-        for name, check, args in showcases
+        check(*sources, _closed(a)(0.0), _closed(b)(0.0), tol, name=name)
+        for name, check, a, b, *sources in _SHOWCASES
         if name_selected(name, name_filter)
     ]

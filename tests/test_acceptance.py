@@ -118,14 +118,7 @@ def test_c08_substitution_showcases_and_hypothesis_gate():
     assert len(rows) == 6
     assert failing == []
     with pytest.raises(HypothesisViolation):
-        check_u_sub(
-            lambda u: u,
-            lambda t: math.tan(t) + 0.01 * t,  # corrupted antiderivative
-            lambda t: 1.0 / math.cos(t) ** 2,
-            0.0,
-            1.0,
-            1e-6,
-        )
+        check_u_sub("t", "tan(t)+0.01*t", "1/cos(t)^2", 0.0, 1.0, 1e-6)  # corrupted G
 
 
 def test_c09_fundamental_theorem_both_directions():

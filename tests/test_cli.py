@@ -149,6 +149,12 @@ def test_verify_filtered_pass(capsys):
     assert out.splitlines()[-1] == "2/2 checks passed"
 
 
+def test_verify_csv_reruns_are_byte_identical(capsys):
+    first = run_cli(capsys, "verify", "--output", "csv")
+    assert first[0] == 0
+    assert run_cli(capsys, "verify", "--output", "csv") == first
+
+
 def test_verify_filter_that_selects_nothing_exits_1(capsys):
     code, out, err = run_cli(capsys, "verify", "--filter", "nomatch")
     assert code == 1

@@ -16,7 +16,18 @@ from hypothesis import strategies as st
 
 from rfcalc.elementary import exp_construct, hyperbolic, inverse_fn, log_construct, pow_construct
 from rfcalc.errors import EvaluationError, InvalidArgumentError
-from rfcalc.expr import Binary, Call, Constant, Unary, Var, compile, eval_expr, parse, random_expr
+from rfcalc.expr import (
+    Binary,
+    Call,
+    Constant,
+    Unary,
+    Var,
+    compile,
+    eval_expr,
+    parse,
+    random_expr,
+    substitute,
+)
 from rfcalc.integrator import integrate
 from rfcalc.partitions import (
     LEFT,
@@ -291,6 +302,22 @@ def test_callable_failures_unchanged():
         lambda t: 1e308 if t < 0.5 else -1e308,
     ):
         assert _same_outcome(_outcome(riemann_sum, f, p), _outcome(reference_riemann_sum, f, p))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_substitute_compiles_to_the_composition(seed):
+    # substitute(e, g) is the tree of e(g(t)): wherever both sides evaluate,
+    # its compiled samples carry the bits of compile(e) at compile(g)'s values.
+    rng = random.Random(seed)
+    e, g = random_expr(rng, max_depth=4), random_expr(rng, max_depth=3)
+    assert substitute(e, Var()) == e
+    composed, outer, inner = compile(substitute(e, g)), compile(e), compile(g)
+    for x in [rng.uniform(-3.0, 3.0) for _ in range(8)]:
+        try:
+            got, want = composed(x), outer(inner(x))
+        except EvaluationError:
+            continue
+        assert _same_bits(got, want), (e, g, x)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import rfcalc.partitions
 import rfcalc.theorems
 from rfcalc.elementary import exp_construct, log_construct
 from rfcalc.errors import HypothesisViolation, InvalidArgumentError
+from rfcalc.expr import compile, parse
 from rfcalc.integrator import integrate_improper
 from rfcalc.theorems import (
     CSV_HEADER,
@@ -22,7 +23,6 @@ from rfcalc.theorems import (
     run_catalog,
     substitution_showcases,
     _CATALOG,
-    _catalog_entries,
 )
 
 
@@ -94,6 +94,15 @@ def test_corrupted_antiderivative_fails_both_directions(monkeypatch):
     assert not integral.passed and not slope.passed
 
 
+def test_derivative_step_shrinks_toward_a_singular_end(monkeypatch):
+    # At 64 interior points the outermost lies 1/128 from the pole of f; a
+    # step that ignored that distance put the central difference 2.4e-4 off.
+    monkeypatch.setattr(rfcalc.theorems, "_TABLE_POINTS", 64)
+    rows = derivative_table_check(1e-5, name_filter="improper")
+    assert [r.name for r in rows] == ["deriv-arcsin-improper", "deriv-arcosh-improper"]
+    assert all(r.passed for r in rows), rows
+
+
 def test_product_and_chain_rules():
     rows = product_chain_check(1e-5)
     assert [r.name for r in rows] == ["product-rule", "chain-rule"]
@@ -102,14 +111,7 @@ def test_product_and_chain_rules():
 
 def test_u_sub_accepts_honest_triple():
     # u = t^2 with du = 2t dt over [0, 1]
-    rep = check_u_sub(
-        lambda u: 1.0 / (1.0 + u * u),
-        lambda t: t * t,
-        lambda t: 2.0 * t,
-        0.0,
-        1.0,
-        1e-7,
-    )
+    rep = check_u_sub("1/(1+t^2)", "t*t", "2*t", 0.0, 1.0, 1e-7)
     assert rep.passed
     assert rep.abs_diff <= 1e-7
 
@@ -117,42 +119,19 @@ def test_u_sub_accepts_honest_triple():
 def test_u_sub_rejects_wrong_inner_derivative():
     # G(t) = t^2 but claimed g(t) = 2t + 0.01t drifts from G'
     with pytest.raises(HypothesisViolation) as err:
-        check_u_sub(
-            lambda u: u,
-            lambda t: t * t,
-            lambda t: 2.0 * t + 0.01 * t,
-            0.0,
-            1.0,
-            1e-7,
-        )
+        check_u_sub("t", "t*t", "2*t+0.01*t", 0.0, 1.0, 1e-7)
     assert "drifts" in str(err.value)
     assert 0.0 < err.value.point < 1.0
 
 
 def test_parts_accepts_polynomial_pair():
-    rep = check_parts(
-        lambda t: t,
-        lambda t: 1.0,
-        lambda t: t * t / 2.0,
-        lambda t: t,
-        0.0,
-        2.0,
-        1e-7,
-    )
+    rep = check_parts("t", "1", "t*t/2", "t", 0.0, 2.0, 1e-7)
     assert rep.passed
 
 
 def test_parts_rejects_fake_antiderivative():
     with pytest.raises(HypothesisViolation):
-        check_parts(
-            lambda t: t,
-            lambda t: 1.0,
-            lambda t: t * t,  # claims derivative t but it is 2t
-            lambda t: t,
-            0.0,
-            2.0,
-            1e-7,
-        )
+        check_parts("t", "1", "t*t", "t", 0.0, 2.0, 1e-7)  # claims v' = t but it is 2t
 
 
 def test_showcases_pass_and_names():
@@ -232,17 +211,17 @@ def test_improper_catalog_rows_sample_budget(name):
     # Deterministic work count at the catalog's quadrature tolerance for
     # tol 1e-6 (qtol = tol/2): each slice is integrated once, so a row needs
     # tens of thousands of samples, not the 21.85M of re-integrated windows.
-    entry = next(e for e in _catalog_entries(1e-9) if e.name == name)
-    r = integrate_improper(entry.integrand, entry.lo, entry.hi, entry.improper_end, 5e-7)
+    _, f, _, lo, hi, _, end = next(row for row in _CATALOG if row[0] == name)
+    r = integrate_improper(compile(parse(f), 1e-9), lo, hi, end, 5e-7)
     assert r.converged
     assert r.evaluations <= 100_000
 
 
 def test_catalog_takes_the_array_path(monkeypatch):
-    # Catalog integrands are compiled expressions, so each Riemann sum takes
-    # its samples in one array call, never tag by tag; and the tower is
-    # reached only through expr, never from theorems' own imports, which
-    # hold neither exp, pow nor the hyperbolics.
+    # Catalog and showcase integrands are compiled expressions, so each
+    # Riemann sum takes its samples in one array call, never tag by tag; and
+    # the tower is reached only through expr, never from theorems' own
+    # imports, which hold neither exp, pow, the hyperbolics nor the inverses.
     calls = 0
     scalar_samples = rfcalc.partitions._scalar_samples
 
@@ -255,11 +234,11 @@ def test_catalog_takes_the_array_path(monkeypatch):
         raise AssertionError(f"constructed function called from theorems with {args}")
 
     monkeypatch.setattr(rfcalc.partitions, "_scalar_samples", counted)
-    for name in ("exp_construct", "pow_construct", "hyperbolic"):
+    for name in ("exp_construct", "pow_construct", "hyperbolic", "inverse_fn"):
         assert not hasattr(rfcalc.theorems, name)
-    for name in ("log_construct", "inverse_fn"):
-        monkeypatch.setattr(rfcalc.theorems, name, forbidden)
+    monkeypatch.setattr(rfcalc.theorems, "log_construct", forbidden)
     assert all(r.passed for r in run_catalog(1e-6))
     assert all(r.passed for r in derivative_table_check(1e-5))
     assert all(r.passed for r in product_chain_check(1e-5))
+    assert all(r.passed for r in substitution_showcases(1e-6))
     assert calls == 0
