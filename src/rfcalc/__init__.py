@@ -75,7 +75,6 @@ from .theorems import (
     ftc_reverse_check,
     functional_equation_check,
     product_chain_check,
-    reports_to_csv,
     run_catalog,
     substitution_showcases,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "power_sum",
     "product_chain_check",
     "random_expr",
-    "reports_to_csv",
     "riemann_sum",
     "run_catalog",
     "sec2_riemann_sum",

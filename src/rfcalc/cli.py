@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -45,7 +44,6 @@ from .theorems import (
     functional_equation_check,
     name_selected,
     product_chain_check,
-    reports_to_csv,
     run_catalog,
     substitution_showcases,
 )
@@ -66,22 +64,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_max_n(flag_value: Optional[int]) -> int:
-    origin = "--max-n"
-    if flag_value is not None:
-        n = flag_value
-    else:
-        raw = os.environ.get("RF_MAX_N")
-        if raw is None or raw == "":
-            return DEFAULT_MAX_N
-        origin = "RF_MAX_N"
-        try:
-            n = int(raw)
-        except ValueError:
-            raise InvalidArgumentError(f"RF_MAX_N must be an integer, got {raw!r}")
+def _resolve_max_n(n: Optional[int]) -> int:
+    if n is None:
+        return DEFAULT_MAX_N
     if n < _MAX_N_FLOOR or n > _MAX_N_CEIL or n & (n - 1):
         raise InvalidArgumentError(
-            f"{origin} must be a power of two between 2^6 and 2^26, got {n}"
+            f"--max-n must be a power of two between 2^6 and 2^26, got {n}"
         )
     return n
 
@@ -106,15 +94,18 @@ def _csv_cell(v: object) -> str:
     return str(v)
 
 
-def _emit_record(record: dict, output: str, human: str) -> None:
-    """One result: CSV header plus row, indented JSON, or the human text."""
-    if output == "human":
-        print(human)
-    elif output == "csv":
-        print(",".join(record))
-        print(",".join(_csv_cell(v) for v in record.values()))
+def _emit(output: str, rows: list[dict], doc: object, human: str) -> None:
+    """The one place results become text: CSV is a header from the first
+    row's keys and a line per row, JSON is the indented doc, and human
+    output is the command's own text."""
+    if output == "csv":
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(_csv_cell(v) for v in row.values()))
+    elif output == "json":
+        print(json.dumps(doc, indent=2))
     else:
-        print(json.dumps(record, indent=2))
+        print(human)
 
 
 def _integrand(text: str) -> ArrayFn:
@@ -135,15 +126,11 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         )
     else:
         result = integrate(f, args.a, args.b, tol, rule=rule, max_n=max_n)
-    _emit_record(
-        {
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "n_final": result.n_final,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-        },
-        args.output,
+    record = {"value": result.value, "error_estimate": result.error_estimate,
+              "n_final": result.n_final, "evaluations": result.evaluations,
+              "converged": result.converged}
+    _emit(
+        args.output, [record], record,
         "\n".join([
             f"value {_f9(result.value)}",
             f"error estimate {_f9(result.error_estimate)}",
@@ -156,32 +143,6 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         print(f"did not converge within n <= {max_n}", file=sys.stderr)
         return 2
     return 0
-
-
-def _emit_reports(reports: list[CheckReport], output: str) -> None:
-    if output == "csv":
-        sys.stdout.write(reports_to_csv(reports))
-        return
-    if output == "json":
-        print(json.dumps([{
-            "name": r.name,
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "abs_diff": r.abs_diff,
-            "tol": r.tol,
-            "pass": r.passed,
-            "anchor": r.anchor,
-        } for r in reports], indent=2))
-        return
-    width = max((len(r.name) for r in reports), default=4)
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(
-            f"{status} {r.name:<{width}} abs_diff={_f9(r.abs_diff)} "
-            f"tol={_f9(r.tol)} [{r.anchor}]"
-        )
-    passed = sum(1 for r in reports if r.passed)
-    print(f"{passed}/{len(reports)} checks passed")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -210,10 +171,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports.append(functional_equation_check(args.seed))
     if not reports:
         raise _UsageError(f"--filter {args.filter!r} selects no check")
-    _emit_reports(reports, args.output)
-    if all(r.passed for r in reports):
-        return 0
-    return 3
+    rows = [{"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "abs_diff": r.abs_diff, "tol": r.tol,
+             "pass": r.passed, "anchor": r.anchor} for r in reports]
+    width = max(len(r.name) for r in reports)
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name:<{width}} abs_diff={_f9(r.abs_diff)} "
+        f"tol={_f9(r.tol)} [{r.anchor}]"
+        for r in reports
+    ]
+    passed = sum(1 for r in reports if r.passed)
+    lines.append(f"{passed}/{len(reports)} checks passed")
+    _emit(args.output, rows, rows, "\n".join(lines))
+    return 0 if passed == len(reports) else 3
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
@@ -232,18 +201,17 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         ns.append(ns[-1] * 2)
 
     report = convergence_report(f, args.a, args.b, _RULES[args.rule], ns, exact=args.exact)
+    lines = [f"n={n} value={_f9(value)}" + ("" if diff is None else f" diff={_f9(diff)}")
+             for n, value, diff in report.rows]
+    lines.append(f"estimated order {_f9(report.estimated_order)}")
+    _emit(
+        args.output,
+        [{"n": n, "value": value, "diff": diff} for n, value, diff in report.rows],
+        {"rows": [list(row) for row in report.rows], "estimated_order": report.estimated_order},
+        "\n".join(lines),
+    )
     if args.output == "csv":
-        sys.stdout.write(report.to_csv())
-    elif args.output == "json":
-        print(json.dumps({
-            "rows": [[n, value, diff] for n, value, diff in report.rows],
-            "estimated_order": report.estimated_order,
-        }, indent=2))
-    else:
-        for n, value, diff in report.rows:
-            tail = "" if diff is None else f" diff={_f9(diff)}"
-            print(f"n={n} value={_f9(value)}{tail}")
-        print(f"estimated order {_f9(report.estimated_order)}")
+        print(f"# estimated_order={_csv_cell(report.estimated_order)}")
     return 0
 
 
@@ -277,7 +245,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         value = inverse_fn(name, args.args[0], eps)
     note = "" if bound is None else f" (bound <= {bound:.3g})"
-    _emit_record({"fname": name, "value": value, "bound": bound}, args.output, f"{value!r}{note}")
+    record = {"fname": name, "value": value, "bound": bound}
+    _emit(args.output, [record], record, f"{value!r}{note}")
     return 0
 
 
@@ -360,16 +329,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DivergenceError as exc:
         print(f"error: divergent: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, InvalidArgumentError, EvaluationError, HypothesisViolation) as exc:
+    except (_UsageError, ParseError, DomainError, InvalidArgumentError, EvaluationError,
+            HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

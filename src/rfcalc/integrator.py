@@ -260,19 +260,12 @@ class ConvergenceReport:
     diff per row is |value - exact| when an exact value was supplied, else
     the successive difference (None on the first row).  estimated_order
     averages log2 of the diff ratios over the last three rows; a vanishing
-    diff makes the order +inf by convention.
+    diff makes the order +inf by convention.  The report holds numbers
+    only; `rfcalc converge` turns it into CSV, JSON or text.
     """
 
     rows: tuple[tuple[int, float, float | None], ...]
     estimated_order: float
-
-    def to_csv(self) -> str:
-        lines = ["n,value,diff"]
-        for n, value, diff in self.rows:
-            d = "" if diff is None else format(diff, ".17g")
-            lines.append(f"{n},{format(value, '.17g')},{d}")
-        lines.append(f"# estimated_order={format(self.estimated_order, '.17g')}")
-        return "\n".join(lines) + "\n"
 
 
 def convergence_report(

@@ -139,7 +139,8 @@ class TaggedPartition:
 
 
 def uniform_partition(interval: Interval, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
-    """Equal-width partition with points t_k = a + k*(b-a)/n.
+    """Equal-width partition with points t_k = a + k*(b-a)/n, except that
+    t_0 and t_n are exactly a and b.
 
     Requires a < b and n >= 1.  Tags come from the rule; a custom rule is
     validated cell by cell at construction time.
@@ -150,11 +151,13 @@ def uniform_partition(interval: Interval, n: int, rule: TagRule = MIDPOINT) -> T
         raise InvalidArgumentError("uniform partition needs a < b")
     h = (interval.b - interval.a) / n
     points = interval.a + np.arange(n + 1, dtype=float) * h
+    points[[0, -1]] = interval.a, interval.b
     return TaggedPartition(points, rule.place(points))
 
 
 def geometric_partition(p: float, q: float, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
-    """Partition of [p, q] whose points p*(q/p)^(k/n) share a constant ratio.
+    """Partition of [p, q] whose points p*(q/p)^(k/n) share a constant ratio;
+    the end points are exactly p and q.
 
     Requires 0 < p < q.  Cell widths grow geometrically, which is what makes
     the power-function sums telescoping-friendly.
@@ -165,6 +168,7 @@ def geometric_partition(p: float, q: float, n: int, rule: TagRule = MIDPOINT) ->
         raise InvalidArgumentError(f"need 0 < p < q, got p={p}, q={q}")
     ratio = q / p
     points = p * np.power(ratio, np.arange(n + 1, dtype=float) / n)
+    points[[0, -1]] = p, q
     return TaggedPartition(points, rule.place(points))
 
 

@@ -32,9 +32,6 @@ from .partitions import ArrayFn
 
 Fn = Callable[[float], float]
 
-CSV_HEADER = "name,lhs,rhs,abs_diff,tol,pass,anchor"
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """One verified identity: lhs vs rhs at a tolerance.
@@ -73,16 +70,6 @@ def _worst_report(
         if dev > worst:
             worst, lhs, rhs = dev, got, want
     return CheckReport(name, lhs, rhs, worst, tol, worst <= tol, anchor)
-
-
-def reports_to_csv(reports: Sequence[CheckReport]) -> str:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(
-            f"{r.name},{r.lhs:.17g},{r.rhs:.17g},{r.abs_diff:.17g},"
-            f"{r.tol:.17g},{'true' if r.passed else 'false'},{r.anchor}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _chebyshev_points(a: float, b: float, count: int = 5) -> list[float]:
@@ -255,6 +242,8 @@ def functional_equation_check(
     seed: int, pairs: int = 200, tol: float = 3e-12
 ) -> CheckReport:
     """Worst |log(xy) - log x - log y| over seeded pairs in [2^-8, 2^8]."""
+    if not tol > 0:
+        raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     if pairs < 1:
         raise InvalidArgumentError(f"need at least one pair, got {pairs}")
     rng = random.Random(seed)

@@ -1,13 +1,17 @@
 """End-to-end CLI runs, in process through main(argv)."""
 
+import ast
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import rfcalc.cli as cli
 import rfcalc.theorems as theorems
 from rfcalc.cli import main
+from rfcalc.theorems import make_report
 
 
 def run_cli(capsys, *argv):
@@ -118,27 +122,28 @@ def test_max_n_must_be_power_of_two(capsys):
     assert "--max-n must be a power of two between 2^6 and 2^26, got 100" in err
 
 
-def test_rf_max_n_env(capsys, monkeypatch):
-    monkeypatch.setenv("RF_MAX_N", "256")
-    code, _, err = run_cli(capsys, "integrate", "t^3", "0", "1", "--tol", "1e-15")
-    assert code == 2
-    assert "n <= 256" in err
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("RF_MAX_N", "64")
-    code, out, _ = run_cli(
-        capsys, "integrate", "t^3", "0", "1", "--tol", "1e-6", "--max-n", "65536"
-    )
-    assert code == 0
-    assert "converged yes" in out
-
-
-def test_rf_max_n_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("RF_MAX_N", "lots")
-    code, _, err = run_cli(capsys, "integrate", "t", "0", "1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "t", "0", "1", "--max-n", "32"),
+        ("integrate", "t", "0", "1", "--max-n", str(2 ** 27)),
+        ("converge", "t", "0", "1", "--max-n", "96"),
+    ],
+)
+def test_max_n_range_is_checked(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "RF_MAX_N must be an integer, got 'lots'" in err
+    assert out == ""
+    assert err == f"error: --max-n must be a power of two between 2^6 and 2^26, got {argv[-1]}\n"
+
+
+def test_the_cap_has_no_environment_variable(capsys, monkeypatch):
+    argv = ("integrate", "t^3", "0", "1", "--tol", "1e-6", "--output", "csv")
+    monkeypatch.delenv("RF_MAX_N", raising=False)
+    unset = run_cli(capsys, *argv)
+    for value in ("64", "lots"):
+        monkeypatch.setenv("RF_MAX_N", value)
+        assert run_cli(capsys, *argv) == unset
 
 
 def test_verify_filtered_pass(capsys):
@@ -228,6 +233,15 @@ def test_verify_csv_output(capsys):
     assert all(line.split(",")[5] == "true" for line in lines[1:])
 
 
+def test_verify_csv_row_format(capsys, monkeypatch):
+    # floats as %.17g, pass as true/false, the anchor verbatim
+    monkeypatch.setattr(cli, "run_catalog",
+                        lambda tol, name_filter: [make_report("demo", 1.0, 2.0, 0.5, "lhs = rhs")])
+    code, out, _ = run_cli(capsys, "verify", "--filter", "demo", "--output", "csv")
+    assert code == 3
+    assert out == "name,lhs,rhs,abs_diff,tol,pass,anchor\ndemo,1,2,1,0.5,false,lhs = rhs\n"
+
+
 def test_verify_json_output(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--filter", "functional", "--output", "json", "--seed", "7"
@@ -247,7 +261,21 @@ def test_converge_default_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,value,diff"
     assert [line.split(",")[0] for line in lines[1:4]] == ["8", "16", "32"]
+    assert lines[1].endswith(",")  # first diff is empty
     assert lines[-1].startswith("# estimated_order=")
+
+
+def test_converge_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "converge", "cos(t)", "0", "1", "--n-from", "8", "--n-to", "64", "--output", "json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [row[0] for row in doc["rows"]] == [8, 16, 32, 64]
+    assert all(len(row) == 3 for row in doc["rows"])
+    assert doc["rows"][0][2] is None
+    assert all(isinstance(row[2], float) for row in doc["rows"][1:])
+    assert doc["estimated_order"] == pytest.approx(2.0, abs=0.3)
 
 
 def test_converge_with_exact_human(capsys):
@@ -335,13 +363,6 @@ def test_converge_rejects_n_from_above_the_cap(capsys):
     assert "--n-from must not exceed the refinement cap 64, got 256" in err
 
 
-def test_converge_rejects_n_from_above_the_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("RF_MAX_N", "128")
-    code, _, err = run_cli(capsys, "converge", "t^2", "0", "1", "--n-from", "256")
-    assert code == 1
-    assert "refinement cap 128" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -409,3 +430,19 @@ def test_each_riemann_sum_evaluates_its_tags_in_one_eval_expr_call(capsys, monke
         assert sum(sizes) == json.loads(out)["evaluations"]
     else:
         assert sizes == [row[0] for row in json.loads(out)["rows"]]
+
+
+def test_only_cli_formats_output():
+    # Every byte of a report comes from cli._emit: no other module may write
+    # JSON or hold the %.17g float format of the CSV cells.
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "json")
+                    or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and ".17g" in node.value)):
+                found.append(f"{path.name} line {node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -133,15 +133,6 @@ def test_convergence_report_without_exact():
     assert all(d is not None for _, _, d in rep.rows[1:])
 
 
-def test_convergence_csv_shape():
-    rep = convergence_report(math.cos, 0.0, 1.0, MIDPOINT, [8, 16])
-    lines = rep.to_csv().splitlines()
-    assert lines[0] == "n,value,diff"
-    assert lines[1].startswith("8,")
-    assert lines[1].endswith(",")  # first diff is empty
-    assert lines[-1].startswith("# estimated_order=")
-
-
 def test_improper_inverse_sqrt_lower():
     # oracle: integral of 1/sqrt(t) over (0, 1] is 2
     r = integrate_improper(lambda t: 1.0 / math.sqrt(t), 0.0, 1.0, "lower", 1e-6)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_geometric_partition_constant_ratio():
     np.testing.assert_allclose(ratios, 2.0, rtol=1e-14)
     assert p.a == 1.0
     assert p.b == pytest.approx(16.0, rel=1e-15)
+
+
+def test_partitions_end_exactly_at_the_interval_ends():
+    # a + n*((b-a)/n) and p*(q/p) can land an ulp away from b and q
+    assert geometric_partition(0.3, 0.7, 4).b == 0.7
+    u = uniform_partition(Interval(-2.8443032558901953, 1.151025380351475), 4496)
+    assert u.b == 1.151025380351475
+    rng = random.Random(2024)
+    for _ in range(500):
+        a, b = sorted(rng.uniform(-4.0, 4.0) for _ in range(2))
+        p, q = sorted(rng.uniform(0.01, 4.0) for _ in range(2))
+        n = rng.randrange(1, 5000)
+        u, g = uniform_partition(Interval(a, b), n), geometric_partition(p, q, n)
+        assert (u.a, u.b, g.a, g.b) == (a, b, p, q), (a, b, p, q, n)
 
 
 def test_geometric_partition_needs_positive_endpoints():

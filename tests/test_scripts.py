@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ("catalog_report.py", "1e-4"),
         ("log_sandwich_demo.py", "2"),
         ("convergence_demo.py",),
     ],

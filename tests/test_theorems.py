@@ -9,7 +9,6 @@ from rfcalc.errors import HypothesisViolation, InvalidArgumentError
 from rfcalc.expr import compile, parse
 from rfcalc.integrator import integrate_improper
 from rfcalc.theorems import (
-    CSV_HEADER,
     CheckReport,
     check_parts,
     check_u_sub,
@@ -19,7 +18,6 @@ from rfcalc.theorems import (
     functional_equation_check,
     make_report,
     product_chain_check,
-    reports_to_csv,
     run_catalog,
     substitution_showcases,
     _CATALOG,
@@ -31,19 +29,6 @@ def test_make_report_pass_and_fail():
     bad = make_report("x", 1.0, 1.1, 1e-6, "a")
     assert good.passed and not bad.passed
     assert bad.abs_diff == pytest.approx(0.1)
-
-
-def test_csv_header_and_shape():
-    rows = [make_report("demo", 1.0, 2.0, 0.5, "lhs = rhs")]
-    text = reports_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == CSV_HEADER
-    assert lines[1] == "demo,1,2,1,0.5,false,lhs = rhs"
-
-
-def test_csv_is_deterministic():
-    rows = run_catalog(1e-4, name_filter="cube")
-    assert reports_to_csv(rows) == reports_to_csv(rows)
 
 
 def test_catalog_filter_selects_subset():
@@ -185,6 +170,12 @@ def test_functional_equation_needs_a_pair(pairs):
     # No pair sampled is no check at all, not a vacuous pass.
     with pytest.raises(InvalidArgumentError, match="at least one pair"):
         functional_equation_check(7, pairs=pairs)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_functional_equation_needs_a_positive_tol(tol):
+    with pytest.raises(InvalidArgumentError, match="tolerance must be positive"):
+        functional_equation_check(7, tol=tol)
 
 
 def test_functional_equation_tight():
