@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rfcalc.cli import main
 from rfcalc.errors import DivergenceError, EvaluationError, InvalidArgumentError
 from rfcalc.integrator import (
     DEFAULT_MAX_N,
@@ -131,6 +132,16 @@ def test_convergence_report_without_exact():
     rep = convergence_report(math.cos, 0.0, 1.0, MIDPOINT, [8, 16, 32])
     assert rep.rows[0][2] is None
     assert all(d is not None for _, _, d in rep.rows[1:])
+
+
+def test_convergence_csv_shape(capsys):
+    # the same ladder as convergence_report(cos, 0, 1, MIDPOINT, [8, 16]), as CSV
+    assert main(["converge", "cos(t)", "0", "1", "--n-from", "8", "--n-to", "16"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,value,diff"
+    assert lines[1].startswith("8,")
+    assert lines[1].endswith(",")  # first diff is empty
+    assert lines[-1].startswith("# estimated_order=")
 
 
 def test_improper_inverse_sqrt_lower():

@@ -4,6 +4,7 @@ import pytest
 
 import rfcalc.partitions
 import rfcalc.theorems
+from rfcalc.cli import main
 from rfcalc.elementary import exp_construct, log_construct
 from rfcalc.errors import HypothesisViolation, InvalidArgumentError
 from rfcalc.expr import compile, parse
@@ -29,6 +30,15 @@ def test_make_report_pass_and_fail():
     bad = make_report("x", 1.0, 1.1, 1e-6, "a")
     assert good.passed and not bad.passed
     assert bad.abs_diff == pytest.approx(0.1)
+
+
+def test_csv_is_deterministic(capsys):
+    argv = ["verify", "--tol", "1e-4", "--filter", "cube", "--output", "csv"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first.splitlines()[0] == "name,lhs,rhs,abs_diff,tol,pass,anchor"
 
 
 def test_catalog_filter_selects_subset():
