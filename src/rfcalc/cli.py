@@ -94,16 +94,28 @@ def _csv_cell(v: object) -> str:
     return str(v)
 
 
+def _json_value(v: object) -> object:
+    """v with every non-finite float as None: JSON (RFC 8259) has no
+    Infinity or NaN."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _emit(output: str, rows: list[dict], doc: object, human: str) -> None:
     """The one place results become text: CSV is a header from the first
-    row's keys and a line per row, JSON is the indented doc, and human
-    output is the command's own text."""
+    row's keys and a line per row, JSON is the indented doc with null for
+    a non-finite float, and human output is the command's own text."""
     if output == "csv":
         print(",".join(rows[0]))
         for row in rows:
             print(",".join(_csv_cell(v) for v in row.values()))
     elif output == "json":
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_json_value(doc), indent=2, allow_nan=False))
     else:
         print(human)
 

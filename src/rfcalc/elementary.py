@@ -12,14 +12,17 @@ polynomial start, each step one certified log call, b^x = exp(x log b),
 hyperbolics are their defining quotients of exp, arsinh/arcosh/artanh are
 closed forms through the certified log, and arcsin/arctan bisect platform
 sin/tan, arcsin above 1/2 through its half-angle form
-pi/2 - 2 arcsin sqrt((1 - y)/2), where sin is not flat.
+pi/2 - 2 arcsin sqrt((1 - y)/2), where sin is not flat.  The array forms
+of log, exp, pow and sinh/cosh/tanh do the same operations in the same
+order under a per-element stop mask, so each element gets the scalar bits.
 
-math.log / math.exp / math.pow appear nowhere in this module; the test
-suite uses them as oracles, the implementation must not.  Platform
-sin/cos/tan are accepted as given primitives (forward maps for the
-inverse-trig bisections), and sqrt is the one rounded algebraic operation
-the construction leans on.  Powers are written as products: x ** y would
-call platform pow unless both sides are literals.
+math.log / math.exp / math.pow and numpy's log, exp and power families
+appear nowhere in this module; the test suite uses them as oracles, the
+implementation must not.  Platform sin/cos/tan are accepted as given
+primitives (forward maps for the inverse-trig bisections), and sqrt is the
+one rounded algebraic operation the construction leans on.  Powers are
+written as products: x ** y would call platform pow unless both sides are
+literals.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 
@@ -106,6 +111,34 @@ def _sandwich(m: float, budget: float) -> tuple[float, float]:
         j += 1
 
 
+def _sandwich_array(m: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_sandwich over arrays: the same operations in the same order, each
+    element leaving the loop where the scalar loop returns, so each gets
+    _sandwich's bits (numpy rounds +, -, *, /, sqrt and ldexp correctly)."""
+    value, bound = np.empty(m.size), np.empty(m.size)
+    live = np.arange(m.size)
+    d = m - 1.0
+    j = 0
+    while live.size:
+        q = 1.0 + d
+        d2 = d * d
+        q2 = q * q
+        q5 = q2 * q2 * q
+        simpson = (d + 4.0 * d / (1.0 + 0.5 * d) + d / q) / 6.0
+        v = np.ldexp(simpson - d2 * d2 * d * (1.0 + 1.0 / q5) / 240.0, j)
+        half = np.ldexp(
+            d2 * d2 * d2 * (5.0 + d * (10.0 + d * (10.0 + d * (5.0 + d)))) / (240.0 * q5), j)
+        step = 4.0 * _ULP * np.abs(v)
+        b = half + (j + 2.0) * step
+        done = (b <= budget) | (half <= step)
+        value[live[done]], bound[live[done]] = v[done], b[done]
+        keep = ~done
+        live, d, q, budget = live[keep], d[keep], q[keep], budget[keep]
+        d = d / (1.0 + np.sqrt(q))
+        j += 1
+    return value, bound
+
+
 # 2 = (1 - 2^-64)^-1 (1 + 2^-1)(1 + 2^-2)(1 + 2^-4)...(1 + 2^-32): every
 # factor is a dyadic, so no input rounds, and -log(1 - 2^-64) < 2^-63.
 _LOG2_FACTORS = (1.5, 1.25, 1.0625, 1.0 + 2.0 ** -8, 1.0 + 2.0 ** -16, 1.0 + 2.0 ** -32)
@@ -143,6 +176,20 @@ def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
     value = k * l2.value + mid
     combo = 2.0 * _ULP * (abs(k * l2.value) + abs(mid) + abs(value))
     return ApproxValue(value, sbound + reduction + combo)
+
+
+def log_array(x: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
+    """log_construct's (value, bound) for an array of finite x > 0, eps one
+    number or one per element; x = 1 reduces to m = 1, k = 0, exactly (0, 0)."""
+    m, k = np.frexp(x)
+    low = m < _SQRT_HALF
+    m, k = np.where(low, 2.0 * m, m), np.where(low, k - 1, k)
+    l2 = _log2_enclosure()
+    reduction = np.abs(k) * l2.bound
+    mid, sbound = _sandwich_array(m, np.maximum(eps - reduction, 0.0))
+    value = k * l2.value + mid
+    combo = 2.0 * _ULP * (np.abs(k * l2.value) + np.abs(mid) + np.abs(value))
+    return value, sbound + reduction + combo
 
 
 def exp_construct(y: float, eps: float = 1e-12) -> float:
@@ -186,6 +233,30 @@ def exp_construct(y: float, eps: float = 1e-12) -> float:
         return math.inf
 
 
+def exp_array(y: np.ndarray, eps: float) -> np.ndarray:
+    """exp_construct for an array of finite y: each Newton step runs on the
+    elements whose stop test has not yet passed."""
+    out = np.where(y > 0.0, math.inf, 0.0)  # beyond double range
+    out[y == 0.0] = 1.0
+    band = np.flatnonzero((y != 0.0) & (y >= _EXP_UNDERFLOW) & (y <= _EXP_OVERFLOW))
+    l2 = _log2_enclosure()
+    k0 = np.floor(y[band] / l2.value)
+    yr = y[band] - k0 * l2.value
+    w = 1.0 + yr * (1.0 + yr * (1 / 2 + yr * (1 / 6 + yr * (1 / 24 + yr * (1 / 120 + yr / 720)))))
+    noise = 4.0 * _ULP
+    live = np.arange(w.size)
+    while live.size:
+        lw, lb = log_array(w[live], 0.25 * eps)
+        r = yr[live] - lw
+        w[live] *= 1.0 + r * (1.0 + 0.5 * r)
+        newton = np.abs(r * r * r)
+        radius = lb * (1.0 + lb) + newton + noise
+        live = live[(radius > 0.5 * eps) & (newton > noise)]
+    with np.errstate(over="ignore"):  # math.ldexp's OverflowError, returned as inf
+        out[band] = np.ldexp(w, k0.astype(np.int64))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def e_const(eps: float = 1e-12) -> float:
     """The number characterized by log e = 1."""
@@ -204,6 +275,13 @@ def pow_construct(b: float, x: float, eps: float = 1e-12) -> float:
         return 1.0
     lb = log_construct(b, 0.5 * eps / max(1.0, abs(x)))
     return exp_construct(x * lb.value, 0.5 * eps)
+
+
+def pow_array(b: np.ndarray, x: np.ndarray, eps: float) -> np.ndarray:
+    """pow_construct for arrays of finite b > 0 and finite x whose product
+    with log b stays finite; x = 0 needs no branch, as exp(+-0) is 1."""
+    lb, _ = log_array(b, 0.5 * eps / np.maximum(1.0, np.abs(x)))
+    return exp_array(x * lb, 0.5 * eps)
 
 
 def hyperbolic(kind: str, x: float, eps: float = 1e-14) -> float:
@@ -238,6 +316,21 @@ def hyperbolic(kind: str, x: float, eps: float = 1e-14) -> float:
         s = 2.0 / (e - 1.0 / e)
         return s * s
     return sign * (1.0 + 2.0 / (e * e - 1.0))  # coth
+
+
+def hyperbolic_array(kind: str, x: np.ndarray, eps: float) -> np.ndarray:
+    """hyperbolic(kind, x, eps) for kind sinh, cosh or tanh and an array of
+    finite x."""
+    sign = np.where(x > 0.0, 1.0, -1.0)
+    e = exp_array(np.abs(x), eps)
+    with np.errstate(over="ignore"):
+        if kind == "cosh":
+            return 0.5 * (e + 1.0 / e)
+        if kind == "sinh":
+            out = sign * 0.5 * (e - 1.0 / e)
+        else:
+            out = sign * (1.0 - 2.0 / (e * e + 1.0))
+    return np.where(x == 0.0, 0.0, out)  # +0 at either zero, as the scalar returns
 
 
 def _bisect_increasing(forward, lo: float, hi: float, target: float, eps: float) -> float:

@@ -5,11 +5,11 @@ a minimal-parenthesis printer.  Power is right-associative and binds
 tighter than unary minus, so "-2^2" means -(2^2).  compile(e, eps) walks a
 tree once and returns an ArrayFn that evaluates it over a whole array of
 t: the arithmetic, sqrt, abs, sin and cos (and sec, csc, cot from them) as
-numpy ops, and tan, exp, log, non-integral powers, hyperbolics and inverse
-functions element by element through math.tan and the constructive
-implementations at accuracy eps, 1e-14 unless given.  This is the one map
-from a function name to the tower; theorems writes its catalog in this
-language.  Each element gets the same bits, and the same domain errors, as
+numpy ops, exp, log, non-integral powers and hyperbolics through the
+tower's array kernels (element by element on arrays under _ARRAY_MIN), and
+tan, atan and asin element by element through math.tan and inverse_fn; the
+tower runs at accuracy eps, 1e-14 unless given.  This is the one map from
+a function name to the tower; theorems writes its catalog in this language.  Each element gets the same bits, and the same domain errors, as
 evaluating the tree at that point alone, provided numpy's sin and cos give
 math's bits (tests/test_compile.py checks that they do).  eval_expr(e, t)
 compiles e and applies it to a float or an array of t, and substitute(e, g)
@@ -26,7 +26,17 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .elementary import exp_construct, hyperbolic, inverse_fn, log_construct, pow_construct
+from .elementary import (
+    exp_array,
+    exp_construct,
+    hyperbolic,
+    hyperbolic_array,
+    inverse_fn,
+    log_array,
+    log_construct,
+    pow_array,
+    pow_construct,
+)
 from .errors import DomainError, EvaluationError, InvalidArgumentError, ParseError
 from .partitions import ArrayFn
 
@@ -232,6 +242,10 @@ def substitute(e: Expr, g: Expr) -> Expr:
 
 _EVAL_EPS = 1e-14
 _MAX_MUL_EXPONENT = 64
+# Below this many elements a constructed function goes element by element: a
+# kernel call on a short array costs as much as 25 to 45 scalar calls, and the
+# two break even near 64 (scripts/array_tower_bench.py, BENCH_array_tower.json).
+_ARRAY_MIN = 64
 
 
 class _Faults:
@@ -277,6 +291,39 @@ def _elementwise(scalar: Callable[[float], float]) -> Node:
     return lambda x, faults: _map(scalar, faults, x)
 
 
+def _tower(scalar: Callable[..., float], kernel: Callable[..., np.ndarray],
+           regular: Callable[..., np.ndarray], eps: float) -> Callable[..., np.ndarray]:
+    """A constructed function over arrays, called as node(*args, faults).  The
+    kernel takes the regular elements, where the scalar function cannot raise
+    and the kernel gives its bits; the scalar function takes the rest, in
+    order up to the first fault.  Values and faults are thus those of _map,
+    which short arrays (and an eps every scalar call rejects) still take."""
+    def node(*args):
+        *arrays, faults = args
+        if arrays[0].size < _ARRAY_MIN or not eps > 0:
+            return _map(scalar, faults, *arrays)
+        ok = regular(*arrays)
+        out = np.full(ok.size, math.nan)
+        out[ok] = kernel(*(a[ok] for a in arrays))
+        rest = np.flatnonzero(~ok[:faults.index])
+        tail = _Faults(rest.size)
+        out[rest] = _map(scalar, tail, *(a[rest] for a in arrays))
+        if tail.index < rest.size:
+            faults.index, faults.message = int(rest[tail.index]), tail.message
+        return out
+    return node
+
+
+def _positive(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & (x > 0.0)
+
+
+def _pow_regular(base: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    # |expo| < 2^1000 keeps expo * log(base) finite, as |log(base)| < 745.
+    small_int = (np.floor(expo) == expo) & (np.abs(expo) <= _MAX_MUL_EXPONENT)
+    return _positive(base) & (np.abs(expo) < 2.0 ** 1000) & ~small_int
+
+
 def _trig(ufunc: np.ufunc) -> Node:
     def op(x: np.ndarray, faults: _Faults) -> np.ndarray:
         faults.mark(np.isinf(x), "math domain error")  # as math.sin and math.cos raise
@@ -312,13 +359,16 @@ def _divide(left: np.ndarray, right: np.ndarray, faults: _Faults) -> np.ndarray:
 
 
 # numpy's sin, cos, sqrt, abs and arithmetic give the same bits as math and
-# Python floats (tests/test_compile.py checks the ufuncs against math).  The
-# rest go element by element through the scalar functions: np.tan differs
-# from math.tan in the last bit at some points, and exp, log, powers,
-# hyperbolics and inverses are the constructed ones, called at the eps given
-# to compile().  Each entry takes that eps and returns the node.  The lambdas
-# look the constructed functions up at call time, so wrapping them in this
-# module (as perfbench/layers.py does) sees every call.
+# Python floats (tests/test_compile.py checks the ufuncs against math).  exp,
+# log, powers and hyperbolics are the constructed ones, called at the eps
+# given to compile(): over an array of at least _ARRAY_MIN elements through
+# the tower's array kernels, which give the scalar functions' bits, and
+# element by element otherwise.  tan, atan and asin always go element by
+# element: np.tan differs from math.tan in the last bit at some points, and
+# atan and asin bisect math.tan and math.sin.  Each entry takes that eps and
+# returns the node.  The lambdas look the scalar functions up at call time,
+# so wrapping them in this module (as perfbench/layers.py does) sees every
+# call that does not go through a kernel.
 _FUNCTIONS: dict[str, Callable[[float], Node]] = {
     "sin": lambda eps: _sin,
     "cos": lambda eps: _cos,
@@ -326,11 +376,16 @@ _FUNCTIONS: dict[str, Callable[[float], Node]] = {
     "sec": lambda eps: _reciprocal(_cos, "sec"),
     "csc": lambda eps: _reciprocal(_sin, "csc"),
     "cot": lambda eps: _cot,
-    "sinh": lambda eps: _elementwise(lambda x: hyperbolic("sinh", x, eps)),
-    "cosh": lambda eps: _elementwise(lambda x: hyperbolic("cosh", x, eps)),
-    "tanh": lambda eps: _elementwise(lambda x: hyperbolic("tanh", x, eps)),
-    "exp": lambda eps: _elementwise(lambda x: exp_construct(x, eps)),
-    "log": lambda eps: _elementwise(lambda x: log_construct(x, eps).value),
+    "sinh": lambda eps: _tower(lambda x: hyperbolic("sinh", x, eps),
+                               lambda x: hyperbolic_array("sinh", x, eps), np.isfinite, eps),
+    "cosh": lambda eps: _tower(lambda x: hyperbolic("cosh", x, eps),
+                               lambda x: hyperbolic_array("cosh", x, eps), np.isfinite, eps),
+    "tanh": lambda eps: _tower(lambda x: hyperbolic("tanh", x, eps),
+                               lambda x: hyperbolic_array("tanh", x, eps), np.isfinite, eps),
+    "exp": lambda eps: _tower(lambda x: exp_construct(x, eps), lambda x: exp_array(x, eps),
+                              np.isfinite, eps),
+    "log": lambda eps: _tower(lambda x: log_construct(x, eps).value,
+                              lambda x: log_array(x, eps)[0], _positive, eps),
     "sqrt": lambda eps: _sqrt,
     "abs": lambda eps: lambda x, faults: np.abs(x),
     "atan": lambda eps: _elementwise(lambda x: inverse_fn("arctan", x, eps)),
@@ -378,9 +433,9 @@ def _constant(e: Expr) -> Union[float, None]:
 
 def _power_node(left: Node, right: Node, expo: Union[float, None], eps: float) -> Node:
     if expo is None or not (expo.is_integer() and abs(expo) <= _MAX_MUL_EXPONENT):
-        def power(b: float, x: float) -> float:
-            return _power(b, x, eps)
-        return lambda t, faults: _map(power, faults, left(t, faults), right(t, faults))
+        power = _tower(lambda b, x: _power(b, x, eps), lambda b, x: pow_array(b, x, eps),
+                       _pow_regular, eps)
+        return lambda t, faults: power(left(t, faults), right(t, faults), faults)
     n = int(expo)
 
     def node(t: np.ndarray, faults: _Faults) -> np.ndarray:

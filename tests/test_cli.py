@@ -446,3 +446,30 @@ def test_only_cli_formats_output():
                         and ".17g" in node.value)):
                 found.append(f"{path.name} line {node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv,path",
+    [
+        (("converge", "t", "0", "1", "--exact", "0.5"), ("estimated_order",)),
+        (("integrate", "1/sqrt(1-t^2)", "0", "1", "--improper", "upper", "--tol", "1e-8",
+          "--max-n", "64"), ("error_estimate",)),
+        (("verify", "--filter", "usub-half", "--tol", "1e-16"), (0, "lhs")),
+    ],
+)
+def test_json_writes_null_for_non_finite_floats(capsys, argv, path):
+    # Each of these has an infinite or nan field, which JSON cannot carry.
+    code, out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert code != 1
+    doc = _strict_json(out)
+    for key in path:
+        doc = doc[key]
+    assert doc is None
+    code, csv_out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert "inf" in csv_out or "nan" in csv_out  # the CSV still writes them

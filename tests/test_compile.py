@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rfcalc.expr
 from rfcalc.elementary import exp_construct, hyperbolic, inverse_fn, log_construct, pow_construct
 from rfcalc.errors import EvaluationError, InvalidArgumentError
 from rfcalc.expr import (
@@ -190,12 +191,15 @@ def _same_outcome(got, want):
 
 # Grids on [-3, 3] and [0, 2]: the left and right rules put tags on 0 and
 # on integers, so division by zero, log/sqrt of negatives, poles of csc and
-# cot, asin outside [-1, 1] and zero to negative powers all occur.
+# cot, asin outside [-1, 1] and zero to negative powers all occur.  These
+# sums are below expr._ARRAY_MIN, so the tower goes element by element; the
+# last grid, 128 tags on [-4, 4] with the same integer tags, is above it, so
+# exp, log, powers and hyperbolics go through the array kernels.
 _GRIDS = [
     uniform_partition(Interval(lo, hi), n, rule)
     for lo, hi, n in ((-3.0, 3.0, 12), (0.0, 2.0, 8))
     for rule in (LEFT, MIDPOINT, RIGHT)
-]
+] + [uniform_partition(Interval(-4.0, 4.0), 128, LEFT)]
 
 
 def _trees(seed, count, max_depth=4):
@@ -376,6 +380,47 @@ def test_integrate_calls_the_array_function_once_per_level():
     assert result.converged
     assert sizes == [n for n, _ in result.trace]
     assert sum(sizes) == result.evaluations
+
+
+_TOWER_SCALARS = ("log_construct", "exp_construct", "pow_construct", "hyperbolic")
+
+
+@pytest.mark.parametrize(
+    "src,scalar", [("log(t)", "log_construct"), ("exp(t)", "exp_construct"),
+                   ("t^0.5", "pow_construct"), ("cosh(t)", "hyperbolic")],
+)
+def test_tower_calls_per_sum(monkeypatch, src, scalar):
+    # A 1,024-tag sum goes through the array kernels, with no scalar tower
+    # call from expr; an 8-tag sum, below expr._ARRAY_MIN, makes one per tag.
+    calls = dict.fromkeys(_TOWER_SCALARS, 0)
+
+    def counter(name):
+        real = getattr(rfcalc.expr, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in _TOWER_SCALARS:
+        monkeypatch.setattr(rfcalc.expr, name, counter(name))
+    f = compile(parse(src))
+    riemann_sum(f, uniform_partition(Interval(0.5, 2.0), 1024, MIDPOINT))
+    assert calls == dict.fromkeys(_TOWER_SCALARS, 0)
+    riemann_sum(f, uniform_partition(Interval(0.5, 2.0), 8, MIDPOINT))
+    assert calls == {**dict.fromkeys(_TOWER_SCALARS, 0), scalar: 8}
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_nonpositive_eps_faults_at_the_first_tag(n):
+    # Every scalar tower call rejects eps <= 0, so a sum on either side of
+    # expr._ARRAY_MIN fails at its first tag with that message.
+    p = uniform_partition(Interval(0.5, 2.0), n, MIDPOINT)
+    for src in ("log(t)", "exp(t)", "t^0.5", "sinh(t)"):
+        with pytest.raises(EvaluationError) as err:
+            riemann_sum(compile(parse(src), 0.0), p)
+        assert err.value.point == p.tags[0]
+        assert str(err.value).startswith("eps must be positive, got 0.0 at t=")
 
 
 def test_array_fn_called_on_a_float():

@@ -9,6 +9,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,10 +18,14 @@ from rfcalc import elementary
 from rfcalc.elementary import (
     ApproxValue,
     e_const,
+    exp_array,
     exp_construct,
     hyperbolic,
+    hyperbolic_array,
     inverse_fn,
+    log_array,
     log_construct,
+    pow_array,
     pow_construct,
 )
 from rfcalc.errors import DomainError, InvalidArgumentError
@@ -439,6 +444,73 @@ def test_arcsin_near_one_within_eps(eps, monkeypatch):
     assert calls == 2000 * steps
 
 
+
+# ---------------------------------------------------------------------------
+# The array kernels against the scalar functions: every element must carry
+# the scalar call's bits (0 ulp, sign of zero included) on seeded grids.
+
+_KERNEL_EPS = [1e-9, 1e-12, 1e-13, 1e-14]
+
+
+def _assert_same_bits(x, got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape == (len(x),)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, [(x[i], got[i], want[i]) for i in bad[:5]]
+
+
+@pytest.mark.parametrize("eps", _KERNEL_EPS)
+def test_log_kernel_matches_scalar_bitwise(eps):
+    rng = np.random.default_rng(1)
+    x = np.concatenate([
+        10.0 ** rng.uniform(-323.3, 308.2, 4000),  # subnormals to near the top
+        rng.uniform(0.5, 2.0, 2000),
+        1.0 + rng.uniform(-1e-6, 1e-6, 500),
+        2.0 ** np.arange(-1074.0, 1024.0),  # m = 1 after the reduction
+        [1.0, 5e-324, 2.2250738585072014e-308, 1.7e308, sys.float_info.max],
+    ])
+    value, bound = log_array(x, eps)
+    want = [log_construct(v, eps) for v in x.tolist()]
+    _assert_same_bits(x, value, [w.value for w in want])
+    _assert_same_bits(x, bound, [w.bound for w in want])
+
+
+@pytest.mark.parametrize("eps", _KERNEL_EPS)
+def test_exp_kernel_matches_scalar_bitwise(eps):
+    rng = np.random.default_rng(2)
+    y = np.concatenate([
+        rng.uniform(-746.0, 710.0, 4000),  # both ends past double range
+        rng.uniform(-745.2, -708.4, 1000),  # subnormal results
+        rng.uniform(-1.0, 1.0, 1000),
+        [0.0, -0.0, 709.782712893384, 709.7827128933841, -745.2, -745.2000000000001, 1e-300],
+    ])
+    _assert_same_bits(y, exp_array(y, eps), [exp_construct(v, eps) for v in y.tolist()])
+
+
+@pytest.mark.parametrize("eps", _KERNEL_EPS)
+def test_pow_kernel_matches_scalar_bitwise(eps):
+    # |x| > 1 splits the log budget 0.5 eps/|x| per element.
+    rng = np.random.default_rng(3)
+    n = 3000
+    b = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 2.5, n)
+    b, x = np.append(b, [2.0, 0.5, 7.0]), np.append(x, [0.0, 1e300, -3.5])
+    want = [pow_construct(p, q, eps) for p, q in zip(b.tolist(), x.tolist())]
+    _assert_same_bits(x, pow_array(b, x, eps), want)
+
+
+@pytest.mark.parametrize("eps", _KERNEL_EPS)
+@pytest.mark.parametrize("kind", ["sinh", "cosh", "tanh"])
+def test_hyperbolic_kernel_matches_scalar_bitwise(kind, eps):
+    rng = np.random.default_rng(4)
+    x = np.concatenate([
+        rng.uniform(-700.0, 700.0, 1500),
+        rng.uniform(-2.0, 2.0, 1500),
+        [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300],
+    ])
+    _assert_same_bits(x, hyperbolic_array(kind, x, eps), [hyperbolic(kind, v, eps) for v in x.tolist()])
+
+
 _IMPORTED = {"log", "log1p", "log2", "log10", "exp", "expm1", "pow", "asinh", "acosh", "atanh"}
 
 
@@ -457,15 +529,31 @@ def _platform_pow(node):
             and not (_literal(node.left) and _literal(node.right)))
 
 
+# numpy's counterparts, which the array kernels must not reach for either.
+_NUMPY_IMPORTED = {
+    "log", "log1p", "log2", "log10", "exp", "expm1", "exp2", "power", "float_power",
+    "arcsinh", "arccosh", "arctanh",
+}
+
+
+def _platform_name(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" or (
+            node.module == "numpy" and any(a.name in _NUMPY_IMPORTED for a in node.names))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.value.id == "math":
+            return node.attr in _IMPORTED
+        return node.value.id in ("np", "numpy") and node.attr in _NUMPY_IMPORTED
+    return False
+
+
 def test_elementary_imports_no_log_or_exp():
-    # The module builds these from the integral; math's versions are oracles only.
+    # The module builds these from the integral; math's and numpy's versions
+    # are oracles only.
     tree = ast.parse(open(elementary.__file__, encoding="utf-8").read())
     found = [
         f"line {node.lineno}: " + ast.unparse(node)
         for node in ast.walk(tree)
-        if (isinstance(node, ast.ImportFrom) and node.module == "math")
-        or (isinstance(node, ast.Attribute) and node.attr in _IMPORTED
-            and isinstance(node.value, ast.Name) and node.value.id == "math")
-        or _platform_pow(node)
+        if _platform_name(node) or _platform_pow(node)
     ]
     assert found == []
