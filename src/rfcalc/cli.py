@@ -152,7 +152,12 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         ]),
     )
     if not result.converged:
-        print(f"did not converge within n <= {max_n}", file=sys.stderr)
+        if 2 * result.n_final > max_n:
+            print(f"did not converge within n <= {max_n}", file=sys.stderr)
+        else:
+            print(f"did not converge: refinement stopped at n = {result.n_final}, below the cap "
+                  f"{max_n}, where refining further cannot lower the error estimate",
+                  file=sys.stderr)
         return 2
     return 0
 

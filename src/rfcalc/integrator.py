@@ -4,9 +4,8 @@ integrate() doubles the cell count of a uniform partition until two
 successive Riemann sums agree to the requested tolerance.  There is no
 adaptive subdivision and no quadrature formula beyond the tag rule; the
 point is to watch the definitional limit converge.  integrate_improper()
-closes a window sequence on a singular endpoint, runs the same engine only
-on the slice each new window adds, and accelerates the running sum with
-one Aitken delta-squared step.
+moves a singular endpoint to infinity on the s-line by the double-exponential
+substitution (Takahasi and Mori, 1974) and refines plain Riemann sums there.
 """
 
 from __future__ import annotations
@@ -15,37 +14,31 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import DivergenceError, InvalidArgumentError
-from .partitions import Interval, MIDPOINT, TagRule, riemann_sum, uniform_partition
+import numpy as np
+
+from .elementary import exp_array, log_construct
+from .errors import DivergenceError, EvaluationError, InvalidArgumentError
+from .partitions import (
+    ArrayFn, Interval, MIDPOINT, TagRule, _scalar_samples, riemann_sum, uniform_partition,
+)
 
 Fn = Callable[[float], float]
 
 DEFAULT_MAX_N = 2 ** 22
 DEFAULT_N0 = 8
 
-# Improper-limit controls.  Window j uses endpoint offset (b-a)*2^-j and
-# adds the slice between cut points j-1 and j to a running sum.  The first
-# slice gets tolerance tol/_IMPROPER_INNER_DIV, and each later one
-# _SLICE_TOL_RATIO times the one before, so the slice tolerances sum to
-# less than 3.5*tol/32 and an inverse-square-root endpoint needs about the
-# same cell count in every slice.  Dividing by 32 leaves room for Aitken,
-# which amplifies the errors of the last slices by roughly an order of
-# magnitude at ratio ~ 1/sqrt(2).
-_IMPROPER_FIRST_J = 2
-_IMPROPER_MAX_J = 40
-_IMPROPER_INNER_DIV = 32.0
-_GROWTH_STREAK = 5
-_SLICE_TOL_RATIO = 2.0 ** -0.5
-_GROWTH_RESOLUTION = 2.0 ** -10
+# f is sampled no closer to an improper integral's singular end than this
+# fraction of the interval; below it the integrand is a fitted power law.
+_DEPTH = 2.0 ** -40
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
     """Outcome of a refinement run.
 
-    value is the last Riemann sum (or accelerated limit), error_estimate the
-    last successive difference, trace the full (n, value) refinement history.
-    converged=False with the cap reached is an answer, not an error.
+    value is the last Riemann sum, error_estimate the last successive difference,
+    trace the (n, value) history of the levels (on the s-line for an improper
+    integral).  converged=False is an answer, not an error.
     """
 
     value: float
@@ -113,13 +106,6 @@ def integrate(
         n *= 2
 
 
-def _aitken(x0: float, x1: float, x2: float) -> float:
-    den = x2 - 2.0 * x1 + x0
-    if den == 0.0 or not math.isfinite(den):
-        return x2
-    return x2 - (x2 - x1) ** 2 / den
-
-
 def integrate_improper(
     f: Fn,
     a: float,
@@ -129,93 +115,86 @@ def integrate_improper(
     rule: TagRule = MIDPOINT,
     max_n: int = DEFAULT_MAX_N,
 ) -> IntegrationResult:
-    """Limit of proper integrals as a window closes on a singular endpoint.
+    """Improper integral over [a, b] by the double-exponential substitution.
 
-    Window j stops short of the bad endpoint by (b-a)*2^-j for j = 2, 3, ...
-    By additivity, window j is window j-1 plus the slice between their cut
-    points, so each slice is integrated once, at a tolerance that shrinks
-    geometrically with j, and added to a running sum.  The running sums
-    feed one Aitken delta-squared extrapolation, used only while the last
-    slice is smaller than the one before it by more than their tolerances.
-    The run stops when successive accelerated values, widened by how far
-    the extrapolation can move within the last two slice tolerances,
-    differ by at most tol.  A slice that misses its tolerance makes the
-    result non-converged.  Slices that stop shrinking for _GROWTH_STREAK
-    consecutive windows raise DivergenceError: at an integrable endpoint
-    the increments go to zero, and at 1/t they stay equal.  While growth is
-    suspected, slices are resolved only coarsely; a run that converges
-    after that reports converged=False.
+    With c the singular end, t = c +- (b-a)/(1 + e^{pi sinh s}) makes the
+    integral one of f(t(s)) |t'(s)| over the s-line, where it decays
+    double-exponentially at both ends.  Each level is a Riemann sum over a
+    uniform partition of one s-interval; n doubles until two successive level
+    differences are at most tol/2.  f is sampled no closer to c than the
+    depth, (b-a)*_DEPTH or 4096 ulps of c if larger; beyond it a power law
+    K |t - c|^-p fitted at three probes continues the integrand, and p >= 1
+    raises DivergenceError.  error_estimate is the larger of the last two
+    level differences plus the change in modelled mass when p is read one
+    probe scale further out (or a few ulps away, if that is more).
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
     if singular_end not in ("lower", "upper"):
         raise InvalidArgumentError(f"singular_end must be 'lower' or 'upper', got {singular_end!r}")
+    if max_n < 1:
+        raise InvalidArgumentError(f"max_n must be positive, got {max_n}")
+    Interval(a, b)  # finite endpoints, a <= b
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0, True, ())
-    if a > b:
-        raise InvalidArgumentError("improper integration requires a < b")
 
-    span = b - a
-    running = 0.0
-    sums: list[float] = []
-    trace: list[tuple[int, float]] = []
-    evaluations = 0
-    prev_cut = b if singular_end == "lower" else a
-    prev_slice, prev_tol = math.inf, 0.0
-    streak = 0
-    within_budget = True
-    for j in range(_IMPROPER_FIRST_J, _IMPROPER_MAX_J + 1):
-        delta = span * 2.0 ** -j
-        cut = a + delta if singular_end == "lower" else b - delta
-        lo, hi = (cut, prev_cut) if singular_end == "lower" else (prev_cut, cut)
-        prev_cut = cut
+    span, eps = b - a, 1e-15
+    c, side = (a, 1.0) if singular_end == "lower" else (b, -1.0)
+    depth = _DEPTH * max(span, math.ulp(c) / math.ulp(1.0))
+    scale = 2.0 ** min(10, (math.frexp(span / depth)[1] - 2) // 2)
+    if scale < 2.0:
+        raise InvalidArgumentError(f"[{a}, {b}] is too narrow to resolve its end {c}")
+    log = lambda x: log_construct(x, eps).value  # noqa: E731
+    asinh = lambda y: log(y + math.sqrt(y * y + 1.0))  # noqa: E731
 
-        slice_tol = tol / _IMPROPER_INNER_DIV * _SLICE_TOL_RATIO ** (j - _IMPROPER_FIRST_J)
-        if streak and abs(prev_slice) * _GROWTH_RESOLUTION > slice_tol:
-            # Growth suspected: telling it from shrinkage only needs each
-            # slice to a small fraction of itself, but a slice resolved that
-            # coarsely spends more than its share of the error budget.
-            slice_tol = abs(prev_slice) * _GROWTH_RESOLUTION
-            within_budget = False
-        # Cells narrower than a few ulps would make partition points collide.
-        cap = max_n
-        while cap > 1 and (hi - lo) / cap < 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            cap //= 2
-        r = integrate(f, lo, hi, slice_tol, rule, cap)
-        evaluations += r.evaluations
-        running += r.value
-        sums.append(running)
+    def sample(t: np.ndarray) -> np.ndarray:
+        y = f.fn(t) if isinstance(f, ArrayFn) else _scalar_samples(f, t)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            raise EvaluationError(float(t[bad.argmax()]), "integrand sample is not finite")
+        return y
 
-        shrank = abs(r.value) + slice_tol < abs(prev_slice) - prev_tol
-        if shrank and len(sums) >= 3:
-            ratio = r.value / prev_slice
-            value = _aitken(sums[-3], sums[-2], sums[-1])
-            # First-order change of the extrapolated value when the last two
-            # slices are off by their tolerances; it grows as ratio -> 1.
-            noise = (abs(1.0 - 2.0 * ratio) * prev_tol + slice_tol) / (1.0 - ratio) ** 2
-        else:
-            value, noise = running, 0.0
-        streak = 0 if shrank or abs(r.value) <= slice_tol else streak + 1
-        prev_slice, prev_tol = r.value, slice_tol
-        trace.append((r.n_final, value))
-        est = abs(value - trace[-2][1]) + noise if len(trace) >= 2 else math.inf
+    # Exact distances from c, so that 1/t at exact probe points reads p = 1 exactly.
+    probes = c + side * depth * scale ** np.arange(3.0)  # the last within span/2 of c
+    u0, u1, u2 = np.abs(probes - c).tolist()
+    f0, f1, f2 = sample(probes).tolist()
+    mass = lambda e: f0 * u0 / (1.0 - e) if e < 1.0 else math.inf  # noqa: E731
+    if f0 * f1 > 0.0 and f1 * f2 > 0.0:
+        p = log(f0 / f1) / log(u1 / u0)
+        # Rounding moves p by a few ulps, which p near 1 amplifies.
+        drift = abs(mass(p + max(abs(log(f1 / f2) / log(u2 / u1) - p), 4.0 * math.ulp(1.0)))
+                    - mass(p))
+    else:  # no common sign: continue f0 as a constant and trust none of it
+        p, drift = 0.0, abs(f0 * u0)
+    if p >= 1.0:
+        raise DivergenceError(f"|f| grows like |t - {c}|^-{p:.6g}: endpoint looks non-integrable")
+    ell, tail = log(span / u0), -2.0 * log(_DEPTH)  # each end leaves e^-tail of its scale
 
-        if not r.converged:
-            # The running sum now carries more error than its budget, so no
-            # later window can make the limit honest.
-            return IntegrationResult(
-                value, max(est, r.error_estimate), r.n_final, evaluations, False, tuple(trace)
-            )
-        if streak >= _GROWTH_STREAK:
-            raise DivergenceError(
-                f"window increments stopped shrinking for {streak} windows "
-                f"(last slice {r.value:g}, window sum {running:g}); "
-                f"endpoint looks non-integrable"
-            )
-        if len(trace) >= 4 and est <= tol:
-            return IntegrationResult(value, est, r.n_final, evaluations, within_budget, tuple(trace))
+    def integrand(s: np.ndarray) -> np.ndarray:
+        es = exp_array(s, eps)
+        cosh, q = 0.5 * (es + 1.0 / es), 0.5 * math.pi * (es - 1.0 / es)
+        big = exp_array(q, eps)  # e^{pi sinh s}
+        d, v = span / (1.0 + big), 1.0 / big
+        out = math.pi * cosh / (1.0 + v)  # |t'(s)| / d
+        far = d >= depth
+        t = np.clip(c + side * d[far], a, b)
+        # t rounds away from c +- d; scale f(t) back to the distance d.
+        out[far] *= d[far] * sample(t) * (1.0 + p * (np.abs(t - c) - d[far]) / d[far])
+        out[~far] *= f0 * u0 * exp_array((1.0 - p) * (ell - q[~far] - v[~far]), eps)
+        return out
 
-    return IntegrationResult(value, est, r.n_final, evaluations, False, tuple(trace))
+    s_line = Interval(-asinh(tail / math.pi), asinh((ell + tail / (1.0 - p)) / math.pi))
+    n, trace, steps = max(1, min(DEFAULT_N0, max_n)), [], [math.inf]
+    while True:
+        trace.append((n, riemann_sum(ArrayFn(integrand), uniform_partition(s_line, n, rule))))
+        if len(trace) >= 3:
+            steps = [abs(trace[-1][1] - trace[-2][1]), abs(trace[-2][1] - trace[-3][1])]
+        if max(steps) <= tol / 2.0 or 2 * n > max_n:
+            break
+        n *= 2
+    est = max(steps) + drift
+    return IntegrationResult(trace[-1][1], est, n, 3 + sum(k for k, _ in trace), est <= tol,
+                             tuple(trace))
 
 
 def cumulative(

@@ -89,6 +89,28 @@ def test_improper_slice_at_cap_exits_2(capsys):
     assert "did not converge within n <= 64" in err
 
 
+def test_improper_infinite_endpoint_exits_1(capsys):
+    code, out, err = run_cli(capsys, "integrate", "1/sqrt(t)", "0", "inf", "--improper", "lower")
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_improper_failure_names_a_t(capsys):
+    code, _, err = run_cli(capsys, "integrate", "log(t-0.5)", "0", "1", "--improper", "lower")
+    assert code == 1
+    assert 0.0 < float(err.rsplit("at t=", 1)[1]) < 0.5
+
+
+def test_nonconvergence_below_the_cap_says_so(capsys):
+    # Cells reach an ulp at n = 8, long before the default cap.
+    code, out, err = run_cli(capsys, "integrate", "t", "1", "1.0000000000000018")
+    assert code == 2
+    assert "converged no" in out
+    assert "within n <=" not in err
+    assert "stopped at n = 8, below the cap 4194304" in err
+
+
 def test_nonconvergence_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "integrate", "t^3", "0", "1", "--tol", "1e-15", "--max-n", "256"
@@ -458,8 +480,7 @@ def _strict_json(text):
     "argv,path",
     [
         (("converge", "t", "0", "1", "--exact", "0.5"), ("estimated_order",)),
-        (("integrate", "1/sqrt(1-t^2)", "0", "1", "--improper", "upper", "--tol", "1e-8",
-          "--max-n", "64"), ("error_estimate",)),
+        (("integrate", "t", "1", "1.0000000000000018"), ("error_estimate",)),
         (("verify", "--filter", "usub-half", "--tol", "1e-16"), (0, "lhs")),
     ],
 )

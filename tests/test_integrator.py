@@ -248,6 +248,45 @@ def test_improper_power_singularity_diverges(p, k, end):
         integrate_improper(_power(p, end), 0.0, 1.0, end, 10.0 ** -k)
 
 
+def test_improper_rejects_an_infinite_endpoint():
+    # Every window cut used to land on inf, and the result "converged" to 0.
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        integrate_improper(lambda t: 1.0 / math.sqrt(t), 0.0, math.inf, "lower", 1e-6)
+
+
+def test_improper_failure_names_the_t_where_f_failed():
+    with pytest.raises(EvaluationError) as err:
+        integrate_improper(lambda t: math.log(t - 0.5) / math.sqrt(t), 0.0, 1.0, "lower", 1e-6)
+    assert 0.0 < err.value.point < 0.5
+
+
+def test_improper_near_one_exponent_stops_early():
+    # Closing windows on t^-0.999 ran 75M samples and still did not converge.
+    r = integrate_improper(lambda t: t ** -0.999, 0.0, 1.0, "lower", 1e-8)
+    assert r.evaluations <= 2_000
+    assert not r.converged or abs(r.value - 1000.0) <= 1e-8
+
+
+def test_improper_upper_end_at_one_is_within_tol():
+    # No double lies between 1 - 2^-53 and 1, so t = 1 - d rounds; the
+    # samples near the end must be read at the distance they stand for.
+    r = integrate_improper(lambda t: (1.0 - t) ** -0.9, 0.0, 1.0, "upper", 1e-10)
+    assert r.converged
+    assert abs(r.value - 10.0) <= 1e-10
+
+
+@pytest.mark.parametrize("p, k", [(0.9999694655250626, 8), (0.9998343704724978, 10)])
+def test_improper_estimate_covers_the_rounding_of_p(p, k):
+    # The mass below the depth goes as 1/(1 - p), so near p = 1 the last
+    # bits of the fitted p move the value by more than tol even when the
+    # two probe scales agree exactly (1.2e-7 off here at tol 1e-8).
+    tol = 10.0 ** -k
+    for end in ("lower", "upper"):
+        f = (lambda t: t ** -p) if end == "lower" else (lambda t: (1.0 - t) ** -p)
+        r = integrate_improper(f, 0.0, 1.0, end, tol, max_n=2 ** 14)
+        assert not r.converged or abs(r.value - 1.0 / (1.0 - p)) <= tol
+
+
 def test_improper_argument_checks():
     with pytest.raises(InvalidArgumentError):
         integrate_improper(math.sin, 0.0, 1.0, "both", 1e-6)

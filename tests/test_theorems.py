@@ -207,15 +207,21 @@ def test_log_closed_forms_agree_with_quadrature():
     assert approx.value == pytest.approx(1.3862943611198906, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", ["arcsin-improper", "arcosh-improper"])
-def test_improper_catalog_rows_sample_budget(name):
+@pytest.mark.parametrize(
+    "name, qtol",
+    [pytest.param(name, qtol, id=name if qtol == 5e-7 else f"{name}-{qtol:g}")
+     for name in ("arcsin-improper", "arcosh-improper") for qtol in (5e-7, 5e-9, 5e-11)],
+)
+def test_improper_catalog_rows_sample_budget(name, qtol):
     # Deterministic work count at the catalog's quadrature tolerance for
-    # tol 1e-6 (qtol = tol/2): each slice is integrated once, so a row needs
-    # tens of thousands of samples, not the 21.85M of re-integrated windows.
+    # tol 1e-6, 1e-8 and 1e-10 (qtol = tol/2): a few hundred s-line samples,
+    # where closing windows on the singular end took 34,704 to 6.3M.
     _, f, _, lo, hi, _, end = next(row for row in _CATALOG if row[0] == name)
-    r = integrate_improper(compile(parse(f), 1e-9), lo, hi, end, 5e-7)
+    r = integrate_improper(compile(parse(f), 1e-9), lo, hi, end, qtol)
+    exact = {"arcsin-improper": math.pi / 2.0, "arcosh-improper": math.acosh(2.0)}[name]
     assert r.converged
-    assert r.evaluations <= 100_000
+    assert abs(r.value - exact) <= qtol
+    assert r.evaluations <= 2_000
 
 
 def test_catalog_takes_the_array_path(monkeypatch):
