@@ -121,7 +121,8 @@ def integrate_improper(
     integral one of f(t(s)) |t'(s)| over the s-line, where it decays
     double-exponentially at both ends.  Each level is a Riemann sum over a
     uniform partition of one s-interval; n doubles until two successive level
-    differences are at most tol/2.  f is sampled no closer to c than the
+    differences are at most tol/2, or at most the model term below when that
+    alone exceeds tol.  f is sampled no closer to c than the
     depth, (b-a)*_DEPTH or 4096 ulps of c if larger; beyond it a power law
     K |t - c|^-p fitted at three probes continues the integrand, and p >= 1
     raises DivergenceError.  error_estimate is the larger of the last two
@@ -185,11 +186,13 @@ def integrate_improper(
 
     s_line = Interval(-asinh(tail / math.pi), asinh((ell + tail / (1.0 - p)) / math.pi))
     n, trace, steps = max(1, min(DEFAULT_N0, max_n)), [], [math.inf]
+    # Once the model term alone exceeds tol, refining below it cannot converge.
+    enough = tol / 2.0 if drift <= tol else drift
     while True:
         trace.append((n, riemann_sum(ArrayFn(integrand), uniform_partition(s_line, n, rule))))
         if len(trace) >= 3:
             steps = [abs(trace[-1][1] - trace[-2][1]), abs(trace[-2][1] - trace[-3][1])]
-        if max(steps) <= tol / 2.0 or 2 * n > max_n:
+        if max(steps) <= enough or 2 * n > max_n:
             break
         n *= 2
     est = max(steps) + drift

@@ -6,8 +6,8 @@ The Riemann sum of f over such a partition is
 
     S(f, P) = sum_k f(xi_k) * (t_{k+1} - t_k)
 
-evaluated left to right with compensated summation, so the result is the
-correctly rounded value of the exact sum of the computed terms.  The
+reduced exactly to math.fsum's bits, the correctly rounded value of the exact
+sum of the computed terms; long sums by array operations on blocks.  The
 integrator, and through it the theorem checks and the CLI, reduce to this
 one primitive; the constructed log (elementary) and the telescoping
 evaluators (direct_eval) write their sums by hand and never call it.  An
@@ -27,6 +27,9 @@ import numpy as np
 from .errors import EvaluationError, InvalidArgumentError
 
 Fn = Callable[[float], float]
+
+# _exact_sum's fsum crossover (scripts/riemann_sum_bench.py), row length and pass cap.
+_CROSSOVER, _BLOCK, _PASSES = 1024, 4096, 4
 
 
 class ArrayFn:
@@ -114,10 +117,7 @@ class TaggedPartition:
             raise InvalidArgumentError(
                 f"tag {tgs[bad]!r} outside its cell [{pts[bad]!r}, {pts[bad + 1]!r}]"
             )
-        pts.flags.writeable = False
-        tgs.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tags", tgs)
+        _freeze(self, pts, tgs)
 
     def __setattr__(self, name, value):
         raise AttributeError("TaggedPartition is immutable")
@@ -138,21 +138,40 @@ class TaggedPartition:
         return f"TaggedPartition(n={self.n}, [{self.a}, {self.b}])"
 
 
+def _freeze(part: TaggedPartition, points: np.ndarray, tags: np.ndarray) -> TaggedPartition:
+    points.flags.writeable = False
+    tags.flags.writeable = False
+    object.__setattr__(part, "points", points)
+    object.__setattr__(part, "tags", tags)
+    return part
+
+
 def uniform_partition(interval: Interval, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
     """Equal-width partition with points t_k = a + k*(b-a)/n, except that
     t_0 and t_n are exactly a and b.
 
-    Requires a < b and n >= 1.  Tags come from the rule; a custom rule is
-    validated cell by cell at construction time.
+    Requires a < b, n >= 1, and b - a and (under MIDPOINT) the sums of
+    neighbouring points finite.  Tags come from the rule; a custom rule is
+    validated cell by cell at construction time.  LEFT, RIGHT and MIDPOINT
+    skip validation for cells wider than 8 ulps of max(|a|, |b|): each point
+    is within 3 such ulps of a + k*h, so none collide.
     """
     if n < 1:
         raise InvalidArgumentError(f"need n >= 1, got {n}")
-    if not interval.a < interval.b:
+    a, b = interval.a, interval.b
+    if not a < b:
         raise InvalidArgumentError("uniform partition needs a < b")
-    h = (interval.b - interval.a) / n
-    points = interval.a + np.arange(n + 1, dtype=float) * h
-    points[[0, -1]] = interval.a, interval.b
-    return TaggedPartition(points, rule.place(points))
+    h = (b - a) / n
+    # The points are increasing, so the end cells hold the largest midpoint sums.
+    if not math.isfinite(h) or rule == MIDPOINT and not (
+            math.isfinite(a + (a + h if n > 1 else b)) and math.isfinite(a + (n - 1) * h + b)):
+        raise InvalidArgumentError(f"[{a}, {b}] is too wide: its cell widths or midpoints overflow")
+    points = a + np.arange(n + 1, dtype=float) * h
+    points[[0, -1]] = a, b
+    tags = rule.place(points)
+    if rule in (LEFT, RIGHT, MIDPOINT) and h > 8.0 * math.ulp(max(abs(a), abs(b))):
+        return _freeze(object.__new__(TaggedPartition), points, tags)
+    return TaggedPartition(points, tags)
 
 
 def geometric_partition(p: float, q: float, n: int, rule: TagRule = MIDPOINT) -> TaggedPartition:
@@ -178,10 +197,11 @@ def mesh(partition: TaggedPartition) -> float:
 
 
 def riemann_sum(f: Fn, partition: TaggedPartition) -> float:
-    """The definitional sum of f over the partition, compensated.
+    """The definitional sum of f over the partition, reduced exactly.
 
-    Terms f(xi_k) * width_k accumulate through math.fsum, so the only
-    rounding is in the terms themselves.  A callable is sampled tag by tag
+    The terms f(xi_k) * width_k are summed by _exact_sum, which returns
+    math.fsum's bits, so the only rounding is in the terms themselves and in
+    the one final rounding of their exact sum.  A callable is sampled tag by tag
     and an ArrayFn in one call.  An EvaluationError from the integrand
     passes through; any other failure (ValueError, OverflowError,
     ZeroDivisionError or a non-finite sample) raises EvaluationError naming
@@ -189,14 +209,47 @@ def riemann_sum(f: Fn, partition: TaggedPartition) -> float:
     """
     tags = partition.tags
     samples = f.fn(tags) if isinstance(f, ArrayFn) else _scalar_samples(f, tags)
-    bad = ~np.isfinite(samples)
-    if bad.any():
-        raise EvaluationError(float(tags[bad.argmax()]), "integrand sample is not finite")
-    terms = (samples * np.diff(partition.points)).tolist()
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise EvaluationError(float(tags[finite.argmin()]), "integrand sample is not finite")
     try:
-        return math.fsum(terms)
+        return _exact_sum(samples * np.diff(partition.points))
     except (ValueError, OverflowError):  # inf - inf, or the sum overflows
         return math.nan
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, for a 1-d float64 array.
+
+    From _CROSSOVER terms on, the zero-padded terms form rows of _BLOCK or
+    fewer, split pass by pass by error-free extraction (Rump, Ogita & Oishi
+    2008): for sigma a power of two above 2 * _BLOCK * max|row|, the
+    q = (sigma + x) - sigma of a row sum exactly and r = x - q is exact, at
+    most 2^-39 * max|row|.  fsum gets the row sums, and the remainders once
+    fewer than _CROSSOVER are nonzero or after _PASSES passes: their exact
+    sum, and so its rounding, is that of x.  Short arrays, zeros (whose sign
+    fsum sets), non-finite terms and sums that could overflow take fsum.
+    """
+    if x.size < _CROSSOVER:
+        return math.fsum(x.tolist())
+    width = min(_BLOCK, x.size)
+    pad = -x.size % width
+    rows = (np.concatenate((x, np.zeros(pad))) if pad else x).reshape(-1, width)
+    top = np.maximum(rows.max(1), -rows.min(1))
+    if not 0.0 < float(top.max()) * x.size < 2.0 ** 1000:  # nan fails too
+        return math.fsum(x.tolist())
+    parts: list[float] = []
+    for _ in range(_PASSES):
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + _BLOCK.bit_length())[:, None]
+        q = rows + sigma
+        q -= sigma
+        parts += q.sum(1).tolist()
+        rows = np.subtract(rows, q, out=q)
+        left = np.count_nonzero(rows)
+        if left < _CROSSOVER:
+            break
+        top = np.maximum(rows.max(1), -rows.min(1))
+    return math.fsum(parts + rows[rows != 0.0].tolist() if left else parts)
 
 
 def _scalar_samples(f: Fn, tags: np.ndarray) -> np.ndarray:

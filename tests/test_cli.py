@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +15,8 @@ import rfcalc.cli as cli
 import rfcalc.theorems as theorems
 from rfcalc.cli import main
 from rfcalc.theorems import make_report
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +114,36 @@ def test_nonconvergence_below_the_cap_says_so(capsys):
     assert "converged no" in out
     assert "within n <=" not in err
     assert "stopped at n = 8, below the cap 4194304" in err
+
+
+def test_improper_early_stop_says_it_stopped_below_the_cap(capsys):
+    # The tail model alone misses tol 1e-9, so refinement stops early.
+    code, out, err = run_cli(
+        capsys, "integrate", "log(t)/sqrt(t)", "0", "1", "--improper", "lower", "--tol", "1e-9",
+        "--output", "json",
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert not record["converged"]
+    assert record["evaluations"] <= 2_000
+    assert f"stopped at n = {record['n_final']}, below the cap 4194304" in err
+
+
+@pytest.mark.parametrize("a, b", [("1e308", "1.7e308"), ("-1e308", "1e308")])
+def test_too_wide_interval_is_one_error_line(a, b):
+    # In a fresh interpreter, so that a numpy warning would reach stderr.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    program = "import sys; from rfcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", program, "integrate", "--", "t", a, b],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: [{float(a)}, {float(b)}] is too wide: its cell widths or midpoints overflow\n"
+    )
 
 
 def test_nonconvergence_exits_2(capsys):

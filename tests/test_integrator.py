@@ -267,6 +267,23 @@ def test_improper_near_one_exponent_stops_early():
     assert not r.converged or abs(r.value - 1000.0) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "f, b, tol",
+    [
+        (lambda t: math.log(t) / math.sqrt(t), 1.0, 1e-9),
+        (lambda t: math.log(t) / math.sqrt(t), 1.0, 1e-11),
+        (lambda t: 1.0 / (t * math.log(t) ** 2), 0.5, 1e-11),
+    ],
+    ids=["log-invsqrt-1e-9", "log-invsqrt-1e-11", "inv-t-log2-1e-11"],
+)
+def test_improper_stops_once_the_tail_model_alone_exceeds_tol(f, b, tol):
+    # A log-modulated end is outside the power-law model, whose term (2e-6
+    # and 1e-2 here) no refinement lowers; these runs took 16k to 1M samples.
+    r = integrate_improper(f, 0.0, b, "lower", tol)
+    assert not r.converged
+    assert r.evaluations <= 2_000
+
+
 def test_improper_upper_end_at_one_is_within_tol():
     # No double lies between 1 - 2^-53 and 1, so t = 1 - d rounds; the
     # samples near the end must be read at the distance they stand for.

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rfcalc import partitions
 from rfcalc.errors import EvaluationError, InvalidArgumentError
 from rfcalc.partitions import (
     LEFT,
     MIDPOINT,
     RIGHT,
+    ArrayFn,
     Interval,
     TaggedPartition,
+    _exact_sum,
     custom_rule,
     geometric_partition,
     mesh,
@@ -168,3 +171,168 @@ def test_mesh_of_geometric_is_last_cell():
     widths = np.diff(p.points)
     assert mesh(p) == widths[-1]
     assert np.all(widths[1:] > widths[:-1])
+
+
+# Sizes on both sides of the fsum crossover (1024) and of the block length (4096).
+_SIZES = [1, 2, 1023, 1024, 1025, 2047, 4095, 4096, 4097, 8191, 8192, 8193, 12289]
+
+
+def _terms(kind, size, rng):
+    if kind == "normal":
+        return rng.standard_normal(size)
+    if kind == "wide":  # 1e-300 .. 1e+300 side by side
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+    if kind == "subnormal":
+        return rng.integers(-2 ** 52, 2 ** 52, size) * 5e-324
+    if kind == "zeros":  # signed zeros, and at most a few tiny nonzero terms
+        x = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        x[rng.integers(0, size, rng.integers(0, 3))] = rng.standard_normal() * 1e-310
+        return x
+    if kind == "cancel":  # every term but one sits beside its negation
+        half = rng.standard_normal(size // 2) * 10.0 ** rng.integers(-30, 31, size // 2)
+        x = np.concatenate((half, -half, rng.standard_normal(size % 2) * 1e-300))
+        rng.shuffle(x)
+        return x
+    # mixed: each term from one of the kinds above
+    pick = rng.integers(0, 5, size)
+    kinds = ("normal", "wide", "subnormal", "zeros", "cancel")
+    return np.choose(pick, [_terms(k, size, rng) for k in kinds])
+
+
+@given(
+    size=st.sampled_from(_SIZES) | st.integers(min_value=1, max_value=9000),
+    kind=st.sampled_from(["normal", "wide", "subnormal", "zeros", "cancel", "mixed"]),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_exact_sum_has_fsums_bits(size, kind, seed):
+    x = _terms(kind, size, np.random.default_rng(seed))
+    assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("size", [5, 1024, 5000])
+@pytest.mark.parametrize("value", [-0.0, 0.0])
+def test_exact_sum_of_zeros_has_fsums_sign(size, value):
+    x = np.full(size, value)
+    assert _exact_sum(x).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("size", [5, 1024, 5000])
+@pytest.mark.parametrize(
+    "fill, exc", [((math.inf, -math.inf), ValueError), ((1e308, 1e308), OverflowError)],
+    ids=["inf-inf", "overflow"],
+)
+def test_exact_sum_raises_what_fsum_raises(size, fill, exc):
+    x = np.resize(np.array(fill), size)
+    with pytest.raises(exc):
+        math.fsum(x.tolist())
+    with pytest.raises(exc):
+        _exact_sum(x)
+
+
+@pytest.mark.parametrize("n", [4, 4096])
+@pytest.mark.parametrize(
+    "sample, width", [(1e308, 1.0), (-1e308, 1.0), (1e308, 2.0)],
+    ids=["overflow", "negative-overflow", "inf-inf"],
+)
+def test_riemann_sum_is_nan_when_the_terms_cannot_be_summed(n, sample, width):
+    # Finite samples whose terms are +-inf (width 2), or whose sum overflows.
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if width > 1.0 else np.ones(n)
+    f = ArrayFn(lambda t: sample * signs)
+    assert math.isnan(riemann_sum(f, uniform_partition(Interval(0.0, n * width), n, LEFT)))
+
+
+def _validated_uniform(interval, n, rule):
+    """uniform_partition as it was before it trusted its own construction."""
+    h = (interval.b - interval.a) / n
+    points = interval.a + np.arange(n + 1, dtype=float) * h
+    points[[0, -1]] = interval.a, interval.b
+    return TaggedPartition(points, rule.place(points))
+
+
+@given(
+    a=st.floats(min_value=-1e300, max_value=1e300),
+    ulps=st.integers(min_value=1, max_value=2 ** 16) | st.floats(min_value=1.0, max_value=1e30),
+    n=st.integers(min_value=1, max_value=3000),
+    rule=st.sampled_from([LEFT, RIGHT, MIDPOINT]),
+)
+def test_trusted_uniform_partition_equals_the_validated_one(a, ulps, n, rule):
+    # Widths from one ulp of a up: narrow ones collide and must raise as before.
+    b = a + ulps * math.ulp(a)
+    if not (a < b and math.isfinite(b)):
+        return
+    try:
+        want = _validated_uniform(Interval(a, b), n, rule)
+    except InvalidArgumentError as err:
+        with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+            uniform_partition(Interval(a, b), n, rule)
+        assert "strictly increasing" in str(err)
+        return
+    got = uniform_partition(Interval(a, b), n, rule)
+    for mine, theirs in ((got.points, want.points), (got.tags, want.tags)):
+        assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable
+    with pytest.raises(ValueError):
+        got.tags[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "a, b", [(1e308, 1.7e308), (-1.7e308, -1e308), (-1e308, 1e308)]
+)
+def test_uniform_rejects_an_interval_whose_midpoints_overflow(a, b):
+    with pytest.raises(InvalidArgumentError, match=r"too wide"):
+        uniform_partition(Interval(a, b), 8, MIDPOINT)
+
+
+def test_uniform_overflow_check_matches_the_midpoints():
+    # One cell of [0, 1.7e308] has the finite midpoint 8.5e307; eight do not.
+    assert uniform_partition(Interval(0.0, 1.7e308), 1, MIDPOINT).tags[0] == 8.5e307
+    with pytest.raises(InvalidArgumentError, match="too wide"):
+        uniform_partition(Interval(0.0, 1.7e308), 8, MIDPOINT)
+    assert uniform_partition(Interval(1e308, 1.7e308), 8, LEFT).tags[-1] < 1.7e308
+
+
+class _CountingMath:
+    """Stands in for partitions' math module, counting what fsum is handed."""
+
+    def __init__(self):
+        self.handed = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, xs):
+        xs = list(xs)
+        self.handed += len(xs)
+        return math.fsum(xs)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [np.exp, lambda t: t * t * np.sin(3.0 * t), lambda t: 1.0 / (t + 1e-3) ** 2],
+    ids=["exp", "t2-sin", "near-pole"],
+)
+def test_long_riemann_sum_boxes_under_one_percent_of_its_terms(monkeypatch, fn):
+    n = 2 ** 17
+    p = uniform_partition(Interval(0.0, 1.0), n)
+    want = math.fsum((fn(p.tags) * np.diff(p.points)).tolist())
+    counting = _CountingMath()
+    monkeypatch.setattr(partitions, "math", counting)
+    assert riemann_sum(ArrayFn(fn), p) == want
+    assert 0 < counting.handed <= n // 100
+
+
+def test_uniform_partition_skips_validation(monkeypatch):
+    calls = []
+    init = TaggedPartition.__init__
+
+    def counting(self, points, tags):
+        calls.append(len(points))
+        init(self, points, tags)
+
+    monkeypatch.setattr(TaggedPartition, "__init__", counting)
+    for rule in (LEFT, RIGHT, MIDPOINT):
+        uniform_partition(Interval(0.0, 1.0), 2 ** 17, rule)
+    assert calls == []
+    uniform_partition(Interval(0.0, 1.0), 4, custom_rule(lambda lo, hi: lo))
+    geometric_partition(1.0, 2.0, 4)
+    assert calls == [5, 5]

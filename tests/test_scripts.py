@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("log_sandwich_demo.py", "2"),
         ("convergence_demo.py",),
         ("array_tower_bench.py", "64", "1"),
+        ("riemann_sum_bench.py", "2048", "1"),
     ],
 )
 def test_script_exits_0(argv):
