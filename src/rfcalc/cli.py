@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -59,6 +60,11 @@ class _UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would read -1e-3 as an option.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad usage; the contract here is 1.
     def error(self, message: str):
         raise _UsageError(message)
@@ -277,9 +283,9 @@ def _add_max_n(sub: argparse.ArgumentParser) -> None:
                      help="refinement cap, a power of two in [2^6, 2^26]")
 
 
-def _add_rule(sub: argparse.ArgumentParser) -> None:
+def _add_rule(sub: argparse.ArgumentParser, where: str) -> None:
     sub.add_argument("--rule", choices=sorted(_RULES), default="midpoint",
-                     help="tag rule for Riemann sums")
+                     help=f"tag rule for the Riemann sums, placing tags {where}")
 
 
 def _add_output(sub: argparse.ArgumentParser, default: str) -> None:
@@ -303,7 +309,7 @@ def _build_parser() -> _ArgumentParser:
                        help="treat this endpoint as singular")
     _add_tol(p_int, 1e-8)
     _add_max_n(p_int)
-    _add_rule(p_int)
+    _add_rule(p_int, "on the substitution's s-line")
     _add_output(p_int, "human")
     p_int.set_defaults(func=_cmd_integrate)
 
@@ -326,7 +332,7 @@ def _build_parser() -> _ArgumentParser:
     p_con.add_argument("--exact", type=float, default=None,
                        help="known exact value; diffs become true errors")
     _add_max_n(p_con)
-    _add_rule(p_con)
+    _add_rule(p_con, "on [a, b]")
     _add_output(p_con, "csv")
     p_con.set_defaults(func=_cmd_converge)
 

@@ -1,15 +1,15 @@
-"""Convergent integration by partition refinement.
+"""Convergent integration by Riemann sums on the s-line.
 
-integrate() doubles the cell count of a uniform partition until two
-successive Riemann sums agree to the requested tolerance.  There is no
-adaptive subdivision and no quadrature formula beyond the tag rule; the
-point is to watch the definitional limit converge.  integrate_improper()
-moves a singular endpoint to infinity on the s-line by the double-exponential
-substitution (Takahasi and Mori, 1974) and refines plain Riemann sums there.
+integrate() and integrate_improper() change variable by the substitution
+lemma, moving the ends of [a, b] to infinity (Takahasi and Mori, 1974), and
+refine plain Riemann sums over uniform partitions of one s-interval in one
+loop, _refine; their tag rule places tags on the s-line.  convergence_report()
+keeps raw uniform sums on [a, b], so that the definitional limit stays visible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -30,16 +30,18 @@ DEFAULT_N0 = 8
 # f is sampled no closer to an improper integral's singular end than this
 # fraction of the interval; below it the integrand is a fitted power law.
 _DEPTH = 2.0 ** -40
+# Accuracy of the tower calls that place the nodes, and the largest level
+# whose tanh-sinh nodes are kept (three rules, 8..2^12 nodes each).
+_EPS, _TABLE_MAX = 1e-15, 2 ** 12
+_log = lambda x: log_construct(x, _EPS).value  # noqa: E731
+_asinh = lambda y: _log(y + math.sqrt(y * y + 1.0))  # noqa: E731
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Outcome of a refinement run.
-
-    value is the last Riemann sum, error_estimate the last successive difference,
-    trace the (n, value) history of the levels (on the s-line for an improper
-    integral).  converged=False is an answer, not an error.
-    """
+    """Outcome of a refinement run: value is the last Riemann sum, trace the
+    (n, value) history of the levels on the s-line, error_estimate as _refine
+    says.  converged=False is an answer, not an error."""
 
     value: float
     error_estimate: float
@@ -49,20 +51,85 @@ class IntegrationResult:
     trace: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
 
-def integrate(
-    f: Fn,
-    a: float,
-    b: float,
-    tol: float,
-    rule: TagRule = MIDPOINT,
-    max_n: int = DEFAULT_MAX_N,
-) -> IntegrationResult:
-    """Refine uniform Riemann sums of f over [a, b] until Cauchy-stable.
+def _refine(level: Callable[[int], tuple[float, float]], tol: float, cap: float,
+            probes: int = 0) -> IntegrationResult:
+    """The refinement loop of both integrators.  level(n) returns the Riemann
+    sum with n cells and an error term that refining cannot lower.  n doubles
+    from 8 until the last two level differences are at most tol/2, or at most
+    that term when it alone exceeds tol, or until doubling would pass cap or
+    a sum is not finite.  error_estimate is the larger difference plus the term."""
+    n, trace, steps = max(1, min(DEFAULT_N0, int(cap))), [], [math.inf]
+    while True:
+        value, extra = level(n)
+        trace.append((n, value))
+        if len(trace) >= 3:
+            steps = [abs(trace[-1][1] - trace[-2][1]), abs(trace[-2][1] - trace[-3][1])]
+        if (not math.isfinite(value) or max(steps) <= (tol / 2.0 if extra <= tol else extra)
+                or 2 * n > cap):
+            break
+        n *= 2
+    est = max(steps) + extra if math.isfinite(value) else math.inf
+    return IntegrationResult(value, est, n, probes + sum(k for k, _ in trace), est <= tol,
+                             tuple(trace))
 
-    Conventions: the integral over [a, a] is exactly 0, and reversed
-    endpoints negate the result.  Stops once successive sums differ by at
-    most tol, or returns converged=False when doubling would pass max_n or
-    make cells narrower than an ulp, so that partition points collide.
+
+def _sample(f: Fn, t: np.ndarray) -> np.ndarray:
+    y = f.fn(t) if isinstance(f, ArrayFn) else _scalar_samples(f, t)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise EvaluationError(float(t[bad.argmax()]), "integrand sample is not finite")
+    return y
+
+
+@functools.lru_cache(maxsize=None)
+def _constants() -> tuple[float, float]:
+    """ln 2, and S = asinh((2/pi) ln 2^46), 2^-91 half-widths from an end."""
+    return _log(2.0), _asinh(92.0 / math.pi * _log(2.0))
+
+
+@functools.lru_cache(maxsize=30)
+def _nodes(n: int, rule: TagRule):
+    """The level's partition of [-S, S]; the index of its first tag s > 0, the
+    first node of the upper end; each tag's distance 2E/(1 + E) to its end and
+    dt/ds = 2 pi cosh(s) E/(1 + E)^2 per half-width, E = e^{-pi |sinh s|}; the widest cell."""
+    s_max = _constants()[1]
+    part = uniform_partition(Interval(-s_max, s_max), n, rule)
+    es = exp_array(np.abs(part.tags), _EPS)
+    e = exp_array(-0.5 * math.pi * (es - 1.0 / es), _EPS)
+    return (part, int(part.tags.searchsorted(0.0, "right")), 2.0 * e / (1.0 + e),
+            math.pi * (es + 1.0 / es) * e / (1.0 + e) ** 2, float(np.diff(part.points).max()))
+
+
+def _end_mass(t: np.ndarray, y: np.ndarray, i: int, j: int, c: float, ln2: float) -> float:
+    """A bound on the mass of |f| within u0 of the end c, reading y at t[i], the
+    node nearest c at distance u0, and at t[j], the next distinct one, as
+    K |t - c|^-p, p bounded above without a log call; inf if p >= 1."""
+    y0, y1 = float(y[i]), float(y[j])
+    f0, f1, u0, u1 = abs(y0), abs(y1), abs(float(t[i]) - c), abs(float(t[j]) - c)
+    if not (f0 > f1 and y0 * y1 > 0.0):  # |f| does not grow towards c
+        return max(f0, f1) * u0
+    (mr, er), (mq, eq) = math.frexp(f0 / f1), math.frexp(u1 / u0)
+    # For 1/2 <= m < 1, ln(m 2^e) - (e-1) ln 2 lies in [2(2m-1)/(2m+1), (2m-1)/sqrt(2m)].
+    p = (((er - 1) * ln2 + (2.0 * mr - 1.0) / math.sqrt(2.0 * mr))
+         / ((eq - 1) * ln2 + 2.0 * (2.0 * mq - 1.0) / (2.0 * mq + 1.0)))
+    return f0 * u0 / (1.0 - p) if p < 1.0 else math.inf
+
+
+def integrate(f: Fn, a: float, b: float, tol: float, rule: TagRule = MIDPOINT,
+              max_n: int = DEFAULT_MAX_N) -> IntegrationResult:
+    """Integral of f over [a, b] by Riemann sums on the tanh-sinh s-line.
+
+    With m the midpoint and h the half-width of [a, b], t = m +- h tanh((pi/2)
+    sinh s) makes the integral one of f(t(s)) t'(s), which decays double-
+    exponentially at both ends of the s-line for a smooth f.  Each level of
+    _refine is riemann_sum over uniform_partition of [-S, S], S = asinh((2/pi)
+    ln 2^46); nodes and weights are built once per (n, rule) by the tower's
+    exp.  A node's distance to its end is computed directly, and a node that
+    would round onto an end moves to the nearest double inside.  Refinement
+    also stops before the central nodes, the farthest apart, come within an
+    ulp.  The error term is the mass of |f| beyond the innermost nodes
+    (_end_mass).  The integral over [a, a] is 0, reversed endpoints negate
+    it, and an interval at most 8 ulps wide is one Riemann sum of one cell.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
@@ -72,62 +139,49 @@ def integrate(
         return IntegrationResult(0.0, 0.0, 0, 0, True, ())
     if a > b:
         r = integrate(f, b, a, tol, rule, max_n)
-        return IntegrationResult(
-            -r.value, r.error_estimate, r.n_final, r.evaluations, r.converged,
-            tuple((n, -v) for n, v in r.trace),
-        )
+        return IntegrationResult(-r.value, r.error_estimate, r.n_final, r.evaluations,
+                                 r.converged, tuple((n, -v) for n, v in r.trace))
     interval = Interval(a, b)
+    if not (math.isfinite(b - a) and math.isfinite(a + b)):
+        raise InvalidArgumentError(f"[{a}, {b}] is too wide: its cell widths or midpoints overflow")
     # Below the resolution of the grid itself there is nothing to refine.
     if a + (b - a) / 8.0 <= a:
         v = riemann_sum(f, uniform_partition(interval, 1, rule))
         return IntegrationResult(v, abs(v), 1, 1, True, ((1, v),))
 
-    n = max(1, min(DEFAULT_N0, max_n))
-    prev: float | None = None
-    trace: list[tuple[int, float]] = []
-    evaluations = 0
-    partition = uniform_partition(interval, n, rule)
-    while True:
-        s = riemann_sum(f, partition)
-        evaluations += n
-        trace.append((n, s))
-        if prev is not None:
-            diff = abs(s - prev)
-            if diff <= tol:
-                return IntegrationResult(s, diff, n, evaluations, True, tuple(trace))
-        try:
-            partition = uniform_partition(interval, 2 * n, rule) if 2 * n <= max_n else None
-        except InvalidArgumentError:  # cells below an ulp: points collide
-            partition = None
-        if partition is None:
-            est = abs(s - prev) if prev is not None else math.inf
-            return IntegrationResult(s, est, n, evaluations, False, tuple(trace))
-        prev = s
-        n *= 2
+    h, (ln2, s_max) = 0.5 * (b - a), _constants()
+    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+
+    def level(n: int) -> tuple[float, float]:
+        part, k, dist, weight, ds = (_nodes.__wrapped__ if n > _TABLE_MAX else _nodes)(n, rule)
+        t = h * dist
+        t[:k] += a
+        t[k:] = b - t[k:]
+        y = _sample(f, np.minimum(np.maximum(t, lo, out=t), hi, out=t))  # never onto a or b
+        with np.errstate(over="ignore"):
+            g = y * (h * weight)  # the s-line integrand at the level's tags
+            big = ~np.isfinite(g * ds)
+        if big.any():  # raised here, where the t of the term is known
+            raise EvaluationError(float(t[big.argmax()]), "integrand term overflows")
+        i, j = min(t.searchsorted(t[0], "right"), n - 1), max(t.searchsorted(t[-1]) - 1, 0)
+        ends = _end_mass(t, y, 0, i, a, ln2) + _end_mass(t, y, -1, j, b, ln2)
+        return riemann_sum(ArrayFn(lambda s: g), part), ends
+
+    return _refine(level, tol, min(max_n, h * math.pi * s_max / math.ulp(max(-a, b))))
 
 
-def integrate_improper(
-    f: Fn,
-    a: float,
-    b: float,
-    singular_end: str,
-    tol: float,
-    rule: TagRule = MIDPOINT,
-    max_n: int = DEFAULT_MAX_N,
-) -> IntegrationResult:
+def integrate_improper(f: Fn, a: float, b: float, singular_end: str, tol: float,
+                       rule: TagRule = MIDPOINT, max_n: int = DEFAULT_MAX_N) -> IntegrationResult:
     """Improper integral over [a, b] by the double-exponential substitution.
 
     With c the singular end, t = c +- (b-a)/(1 + e^{pi sinh s}) makes the
     integral one of f(t(s)) |t'(s)| over the s-line, where it decays
-    double-exponentially at both ends.  Each level is a Riemann sum over a
-    uniform partition of one s-interval; n doubles until two successive level
-    differences are at most tol/2, or at most the model term below when that
-    alone exceeds tol.  f is sampled no closer to c than the
+    double-exponentially at both ends, refined by _refine over uniform
+    partitions of one s-interval.  f is sampled no closer to c than the
     depth, (b-a)*_DEPTH or 4096 ulps of c if larger; beyond it a power law
     K |t - c|^-p fitted at three probes continues the integrand, and p >= 1
-    raises DivergenceError.  error_estimate is the larger of the last two
-    level differences plus the change in modelled mass when p is read one
-    probe scale further out (or a few ulps away, if that is more).
+    raises DivergenceError.  The error term is the change in modelled mass
+    when p is read one probe scale further out (or a few ulps away, if more).
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
@@ -139,75 +193,48 @@ def integrate_improper(
     if a == b:
         return IntegrationResult(0.0, 0.0, 0, 0, True, ())
 
-    span, eps = b - a, 1e-15
-    c, side = (a, 1.0) if singular_end == "lower" else (b, -1.0)
+    span, (c, side) = b - a, (a, 1.0) if singular_end == "lower" else (b, -1.0)
     depth = _DEPTH * max(span, math.ulp(c) / math.ulp(1.0))
     scale = 2.0 ** min(10, (math.frexp(span / depth)[1] - 2) // 2)
     if scale < 2.0:
         raise InvalidArgumentError(f"[{a}, {b}] is too narrow to resolve its end {c}")
-    log = lambda x: log_construct(x, eps).value  # noqa: E731
-    asinh = lambda y: log(y + math.sqrt(y * y + 1.0))  # noqa: E731
-
-    def sample(t: np.ndarray) -> np.ndarray:
-        y = f.fn(t) if isinstance(f, ArrayFn) else _scalar_samples(f, t)
-        bad = ~np.isfinite(y)
-        if bad.any():
-            raise EvaluationError(float(t[bad.argmax()]), "integrand sample is not finite")
-        return y
 
     # Exact distances from c, so that 1/t at exact probe points reads p = 1 exactly.
     probes = c + side * depth * scale ** np.arange(3.0)  # the last within span/2 of c
     u0, u1, u2 = np.abs(probes - c).tolist()
-    f0, f1, f2 = sample(probes).tolist()
+    f0, f1, f2 = _sample(f, probes).tolist()
     mass = lambda e: f0 * u0 / (1.0 - e) if e < 1.0 else math.inf  # noqa: E731
     if f0 * f1 > 0.0 and f1 * f2 > 0.0:
-        p = log(f0 / f1) / log(u1 / u0)
+        p = _log(f0 / f1) / _log(u1 / u0)
         # Rounding moves p by a few ulps, which p near 1 amplifies.
-        drift = abs(mass(p + max(abs(log(f1 / f2) / log(u2 / u1) - p), 4.0 * math.ulp(1.0)))
+        drift = abs(mass(p + max(abs(_log(f1 / f2) / _log(u2 / u1) - p), 4.0 * math.ulp(1.0)))
                     - mass(p))
     else:  # no common sign: continue f0 as a constant and trust none of it
         p, drift = 0.0, abs(f0 * u0)
     if p >= 1.0:
         raise DivergenceError(f"|f| grows like |t - {c}|^-{p:.6g}: endpoint looks non-integrable")
-    ell, tail = log(span / u0), -2.0 * log(_DEPTH)  # each end leaves e^-tail of its scale
+    ell, tail = _log(span / u0), -2.0 * _log(_DEPTH)  # each end leaves e^-tail of its scale
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        es = exp_array(s, eps)
+        es = exp_array(s, _EPS)
         cosh, q = 0.5 * (es + 1.0 / es), 0.5 * math.pi * (es - 1.0 / es)
-        big = exp_array(q, eps)  # e^{pi sinh s}
+        big = exp_array(q, _EPS)  # e^{pi sinh s}
         d, v = span / (1.0 + big), 1.0 / big
         out = math.pi * cosh / (1.0 + v)  # |t'(s)| / d
         far = d >= depth
         t = np.clip(c + side * d[far], a, b)
         # t rounds away from c +- d; scale f(t) back to the distance d.
-        out[far] *= d[far] * sample(t) * (1.0 + p * (np.abs(t - c) - d[far]) / d[far])
-        out[~far] *= f0 * u0 * exp_array((1.0 - p) * (ell - q[~far] - v[~far]), eps)
+        out[far] *= d[far] * _sample(f, t) * (1.0 + p * (np.abs(t - c) - d[far]) / d[far])
+        out[~far] *= f0 * u0 * exp_array((1.0 - p) * (ell - q[~far] - v[~far]), _EPS)
         return out
 
-    s_line = Interval(-asinh(tail / math.pi), asinh((ell + tail / (1.0 - p)) / math.pi))
-    n, trace, steps = max(1, min(DEFAULT_N0, max_n)), [], [math.inf]
-    # Once the model term alone exceeds tol, refining below it cannot converge.
-    enough = tol / 2.0 if drift <= tol else drift
-    while True:
-        trace.append((n, riemann_sum(ArrayFn(integrand), uniform_partition(s_line, n, rule))))
-        if len(trace) >= 3:
-            steps = [abs(trace[-1][1] - trace[-2][1]), abs(trace[-2][1] - trace[-3][1])]
-        if max(steps) <= enough or 2 * n > max_n:
-            break
-        n *= 2
-    est = max(steps) + drift
-    return IntegrationResult(trace[-1][1], est, n, 3 + sum(k for k, _ in trace), est <= tol,
-                             tuple(trace))
+    s_line = Interval(-_asinh(tail / math.pi), _asinh((ell + tail / (1.0 - p)) / math.pi))
+    return _refine(lambda n: (riemann_sum(ArrayFn(integrand), uniform_partition(s_line, n, rule)),
+                              drift), tol, max_n, probes=3)
 
 
-def cumulative(
-    f: Fn,
-    a: float,
-    grid: Sequence[float],
-    tol: float,
-    rule: TagRule = MIDPOINT,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[float]:
+def cumulative(f: Fn, a: float, grid: Sequence[float], tol: float, rule: TagRule = MIDPOINT,
+               max_n: int = DEFAULT_MAX_N) -> list[float]:
     """Prefix integrals F(x) = integral of f from a to x for each grid x.
 
     Each cell between consecutive grid points is integrated once and the
@@ -224,10 +251,7 @@ def cumulative(
         raise InvalidArgumentError(f"grid starts at {pts[0]} before a={a}")
     if any(y < x for x, y in zip(pts, pts[1:])):
         raise InvalidArgumentError("grid must be sorted ascending")
-    cell_tol = tol / max(1, len(pts))
-    values: list[float] = []
-    total = 0.0
-    left = a
+    cell_tol, values, total, left = tol / max(1, len(pts)), [], 0.0, a
     for x in pts:
         total += integrate(f, left, x, cell_tol, rule, max_n).value
         values.append(total)
@@ -250,14 +274,8 @@ class ConvergenceReport:
     estimated_order: float
 
 
-def convergence_report(
-    f: Fn,
-    a: float,
-    b: float,
-    rule: TagRule,
-    n_list: Sequence[int],
-    exact: float | None = None,
-) -> ConvergenceReport:
+def convergence_report(f: Fn, a: float, b: float, rule: TagRule, n_list: Sequence[int],
+                       exact: float | None = None) -> ConvergenceReport:
     """Tabulate Riemann sums of f over [a, b] for each n in n_list."""
     ns = [int(n) for n in n_list]
     if not ns:
@@ -272,30 +290,12 @@ def convergence_report(
     interval = Interval(a, b)
     values = [riemann_sum(f, uniform_partition(interval, n, rule)) for n in ns]
 
-    rows: list[tuple[int, float, float | None]] = []
-    for i, (n, v) in enumerate(zip(ns, values)):
-        if exact is not None:
-            diff: float | None = abs(v - exact)
-        elif i == 0:
-            diff = None
-        else:
-            diff = abs(v - values[i - 1])
-        rows.append((n, v, diff))
-
-    orders: list[float] = []
+    rows = tuple((n, v, abs(v - exact) if exact is not None else abs(v - u) if i else None)
+                 for i, (n, v, u) in enumerate(zip(ns, values, [math.nan] + values)))
     usable = [(n, d) for n, _, d in rows if d is not None]
-    for (n1, d1), (n2, d2) in zip(usable, usable[1:]):
-        if d2 == 0.0:
-            orders.append(math.inf)
-        elif d1 == 0.0:
-            orders.append(-math.inf)
-        else:
-            orders.append(math.log(d1 / d2) / math.log(n2 / n1))
-    tail = orders[-3:]
-    if not tail:
-        order = math.inf
-    elif any(math.isinf(o) for o in tail):
-        order = math.inf if any(o == math.inf for o in tail) else -math.inf
-    else:
-        order = sum(tail) / len(tail)
-    return ConvergenceReport(tuple(rows), order)
+    tail = [math.inf if d2 == 0.0 else -math.inf if d1 == 0.0
+            else math.log(d1 / d2) / math.log(n2 / n1)
+            for (n1, d1), (n2, d2) in zip(usable, usable[1:])][-3:]
+    if not tail or math.inf in tail:
+        return ConvergenceReport(rows, math.inf)
+    return ConvergenceReport(rows, -math.inf if -math.inf in tail else sum(tail) / len(tail))

@@ -204,17 +204,23 @@ def riemann_sum(f: Fn, partition: TaggedPartition) -> float:
     the one final rounding of their exact sum.  A callable is sampled tag by tag
     and an ArrayFn in one call.  An EvaluationError from the integrand
     passes through; any other failure (ValueError, OverflowError,
-    ZeroDivisionError or a non-finite sample) raises EvaluationError naming
-    the first tag that produced one.
+    ZeroDivisionError, a non-finite sample, or a term f(xi_k) * width_k
+    that overflows) raises EvaluationError naming the first tag that
+    produced one.  A sum of finite terms that overflows is nan.
     """
     tags = partition.tags
     samples = f.fn(tags) if isinstance(f, ArrayFn) else _scalar_samples(f, tags)
-    finite = np.isfinite(samples)
+    with np.errstate(over="ignore"):
+        terms = samples * np.diff(partition.points)
+    finite = np.isfinite(terms)
     if not finite.all():
-        raise EvaluationError(float(tags[finite.argmin()]), "integrand sample is not finite")
+        sampled = np.isfinite(samples)
+        if sampled.all():
+            raise EvaluationError(float(tags[finite.argmin()]), "integrand term overflows")
+        raise EvaluationError(float(tags[sampled.argmin()]), "integrand sample is not finite")
     try:
-        return _exact_sum(samples * np.diff(partition.points))
-    except (ValueError, OverflowError):  # inf - inf, or the sum overflows
+        return _exact_sum(terms)
+    except OverflowError:
         return math.nan
 
 

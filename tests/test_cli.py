@@ -108,12 +108,13 @@ def test_improper_failure_names_a_t(capsys):
 
 
 def test_nonconvergence_below_the_cap_says_so(capsys):
-    # Cells reach an ulp at n = 8, long before the default cap.
-    code, out, err = run_cli(capsys, "integrate", "t", "1", "1.0000000000000018")
+    # On 8 ulps the central nodes would come within an ulp of each other at
+    # n = 64, long before the default cap; tol lies below the sums' rounding.
+    code, out, err = run_cli(capsys, "integrate", "t", "1", "1.0000000000000018", "--tol", "1e-30")
     assert code == 2
     assert "converged no" in out
     assert "within n <=" not in err
-    assert "stopped at n = 8, below the cap 4194304" in err
+    assert "stopped at n = 32, below the cap 4194304" in err
 
 
 def test_improper_early_stop_says_it_stopped_below_the_cap(capsys):
@@ -146,9 +147,115 @@ def test_too_wide_interval_is_one_error_line(a, b):
     )
 
 
+def _fresh_cli(*argv):
+    """Run the CLI in a fresh interpreter, so that a numpy warning would reach stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    program = "import sys; from rfcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", program, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv, a, b",
+    [
+        (("integrate", "1e300", "0", "1e10"), 0.0, 1e10),
+        (("converge", "t", "1e308", "1.7e308", "--rule", "left"), 1e308, 1.7e308),
+    ],
+    ids=["integrate", "converge-left"],
+)
+def test_overflowing_term_is_one_error_line(argv, a, b):
+    # converge used to print numpy's overflow warning and rows of inf.
+    done = _fresh_cli(*argv)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: integrand term overflows at t=")
+    assert a <= float(line.rsplit("at t=", 1)[1]) <= b
+
+
+def test_left_rule_on_a_too_wide_interval_is_one_error_line():
+    # This used to warn, refine to the 2^22 cap and report inf with exit 2.
+    done = _fresh_cli("integrate", "t", "1e308", "1.7e308", "--rule", "left")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: [1e+308, 1.7e+308] is too wide: its cell widths or midpoints overflow\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("integrate", "t", "-1e-3", "1"), (1.0 - 1e-6) / 2.0),
+        (("converge", "t", "-1e-3", "1", "--n-to", "16", "--output", "json"), (1.0 - 1e-6) / 2.0),
+        (("converge", "t", "0", "1", "--n-to", "16", "--exact", "-1e-3", "--output", "json"), 0.5),
+        (("eval", "arctan", "-1.5E-3"), math.atan(-1.5e-3)),
+        (("eval", "pow", "2", "-1e+1"), 2.0 ** -10),
+    ],
+    ids=["integrate", "converge", "exact", "eval", "eval-pow"],
+)
+def test_negative_numbers_with_an_exponent_are_arguments(capsys, argv, value):
+    # argparse's own pattern for negative numbers has no exponent.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "converge":
+        doc = json.loads(out)
+        got = doc["rows"][-1][1]
+        if "--exact" in argv:
+            assert doc["rows"][-1][2] == abs(got + 1e-3)
+    else:
+        got = float(out.split()[1] if argv[0] == "integrate" else out)
+    assert got == pytest.approx(value, rel=1e-9)
+
+
+def test_dashes_still_mark_options(capsys):
+    assert run_cli(capsys, "integrate", "--", "t", "-1e-3", "1") == run_cli(
+        capsys, "integrate", "t", "-1e-3", "1")
+    code, out, err = run_cli(capsys, "integrate", "t", "-x", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    code, out, err = run_cli(capsys, "integrate", "t", "0", "1", "-x")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: -x" in err
+
+
+def _samples(monkeypatch, capsys, *argv):
+    """Riemann-sum samples one CLI run takes, and its exit code."""
+    import rfcalc.integrator as integrator
+
+    taken = []
+    real = integrator.riemann_sum
+
+    def counted(f, partition):
+        taken.append(partition.n)
+        return real(f, partition)
+
+    monkeypatch.setattr(integrator, "riemann_sum", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    return sum(taken), code
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (("verify",), 19_999),  # 105,600 on uniform sums on [a, b]
+        (("verify", "--tol", "1e-10"), 39_999),  # 11.8M
+        (("integrate", "t^3", "0", "2", "--tol", "5e-13"), 1_024),  # 8.4M
+    ],
+    ids=["verify", "verify-1e-10", "cube-5e-13"],
+)
+def test_work_count_gate(monkeypatch, capsys, argv, budget):
+    samples, code = _samples(monkeypatch, capsys, *argv)
+    assert code == 0
+    assert samples <= budget
+
+
 def test_nonconvergence_exits_2(capsys):
+    # The kink at 0.3 converges only algebraically on the s-line.
     code, out, err = run_cli(
-        capsys, "integrate", "t^3", "0", "1", "--tol", "1e-15", "--max-n", "256"
+        capsys, "integrate", "abs(t-0.3)", "0", "1", "--tol", "1e-10", "--max-n", "256"
     )
     assert code == 2
     assert "did not converge within n <= 256" in err
@@ -225,11 +332,12 @@ def test_verify_filter_that_selects_nothing_exits_1(capsys):
 
 
 def test_verify_exit_3_on_failure(capsys):
+    # arctan's absolute eps leaves this row 3.6e-13 off its closed form.
     code, out, _ = run_cli(
-        capsys, "verify", "--tol", "1e-15", "--filter", "cube"
+        capsys, "verify", "--tol", "1e-15", "--filter", "arctan-integral"
     )
     assert code == 3
-    assert "FAIL cube-integral" in out
+    assert "FAIL arctan-integral" in out
 
 
 def test_verify_filter_restricts_unfiltered_rows(capsys):
@@ -399,15 +507,11 @@ def test_eval_artanh_near_one(capsys):
 
 
 def test_left_rule_changes_result(capsys):
-    _, out_mid, _ = run_cli(
-        capsys, "integrate", "t^2", "0", "1", "--tol", "1e-4", "--output", "csv"
-    )
-    _, out_left, _ = run_cli(
-        capsys, "integrate", "t^2", "0", "1", "--tol", "1e-4", "--rule", "left",
-        "--output", "csv",
-    )
-    v_mid = float(out_mid.splitlines()[1].split(",")[0])
-    v_left = float(out_left.splitlines()[1].split(",")[0])
+    # converge places the tags on [a, b] itself; the last row is n = 64.
+    _, out_mid, _ = run_cli(capsys, "converge", "t^2", "0", "1", "--n-to", "64")
+    _, out_left, _ = run_cli(capsys, "converge", "t^2", "0", "1", "--n-to", "64", "--rule", "left")
+    v_mid = float(out_mid.splitlines()[-2].split(",")[1])
+    v_left = float(out_left.splitlines()[-2].split(",")[1])
     assert v_left < v_mid  # left sums undershoot an increasing integrand
 
 
@@ -515,7 +619,7 @@ def _strict_json(text):
     "argv,path",
     [
         (("converge", "t", "0", "1", "--exact", "0.5"), ("estimated_order",)),
-        (("integrate", "t", "1", "1.0000000000000018"), ("error_estimate",)),
+        (("integrate", "1e307", "0", "18"), ("error_estimate",)),  # the sum overflows
         (("verify", "--filter", "usub-half", "--tol", "1e-16"), (0, "lhs")),
     ],
 )

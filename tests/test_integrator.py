@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rfcalc.cli import main
 from rfcalc.errors import DivergenceError, EvaluationError, InvalidArgumentError
+from rfcalc.expr import compile, parse, random_expr
 from rfcalc.integrator import (
     DEFAULT_MAX_N,
     ConvergenceReport,
@@ -14,7 +16,7 @@ from rfcalc.integrator import (
     integrate,
     integrate_improper,
 )
-from rfcalc.partitions import LEFT, MIDPOINT, RIGHT
+from rfcalc.partitions import LEFT, MIDPOINT, RIGHT, Interval, riemann_sum, uniform_partition
 
 
 def test_integrate_cubic():
@@ -50,14 +52,94 @@ def test_cap_reached_is_an_answer_not_an_error():
 
 
 def test_cells_below_an_ulp_stop_refinement_without_crashing():
-    # Width 2^-36 next to 1, where doubles are 2^-53 apart: 2^17 cells are
-    # one ulp wide, and 2^18 cells would make partition points collide.
-    r = integrate(lambda t: (1 - t) ** -0.999, 1 - 2 ** -35, 1 - 2 ** -36, 1e-12)
+    # Width 2^-45 next to 1, where doubles are 2^-53 apart: at 2^11 s-line
+    # cells the central nodes, the farthest apart, would be within an ulp of
+    # each other.  The bump vanishes to all orders at both ends, so no end
+    # mass enters the estimate, and tol lies below the rounding of the sums.
+    a, b = 1 - 2 ** -44, 1 - 2 ** -45
+    r = integrate(lambda t: math.exp((b - a) ** 2 / ((t - a) * (t - b))), a, b, 1e-30)
     assert not r.converged
-    assert r.n_final == 2 ** 17
+    assert r.n_final == 2 ** 10
     assert r.trace[-1] == (r.n_final, r.value)
     assert r.evaluations == sum(n for n, _ in r.trace)
     assert r.error_estimate == abs(r.trace[-1][1] - r.trace[-2][1])
+
+
+@pytest.mark.parametrize(
+    "src, exact, tol",
+    [
+        ("cos(128*pi*t)", 0.0, 1e-8),
+        ("sin(64*pi*t)^2", 0.5, 1e-8),
+        ("abs(sin(64*pi*t))", 2.0 / math.pi, 1e-4),
+        ("abs(t-0.3)", 0.29, 1e-8),
+    ],
+)
+def test_converged_is_within_tol(src, exact, tol):
+    # Uniform midpoint sums alias these at n = 8 and 16 and agree there:
+    # the first three were reported converged with 1.0, 6.0e-29 and 5.6e-15,
+    # and abs(t-0.3) converged at n = 32 while 1.6e-4 off.
+    r = integrate(compile(parse(src)), 0.0, 1.0, tol)
+    assert not r.converged or abs(r.value - exact) <= tol
+
+
+def test_no_node_rounds_onto_an_end():
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return 1.0 / math.sqrt(1.0 - t * t)
+
+    for tol in (1e-6, 1e-8, 1e-10):
+        r = integrate(f, 0.0, 1.0, tol)
+        assert 0.0 < min(seen) and max(seen) < 1.0
+        assert not r.converged or abs(r.value - math.pi / 2.0) <= tol
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_the_estimate_holds_the_mass_next_to_an_end(p):
+    # Doubles next to 1 are 2^-53 apart, so the mass of (1-t)^-p in the last
+    # 2^-53 before 1 (1.0e-8 for p = 1/2) lies beyond every sum.
+    for tol in (1e-4, 1e-8):
+        r = integrate(lambda t: (1.0 - t) ** -p, 0.0, 1.0, tol)
+        assert r.error_estimate >= abs(r.value - 1.0 / (1.0 - p))
+
+
+def test_a_non_integrable_end_is_not_converged():
+    # The sums themselves settle on the truncated integral, 938 short of 1000.
+    for f in (lambda t: t ** -0.999, lambda t: (1.0 - t) ** -0.999):
+        r = integrate(f, 0.0, 1.0, 1e-8)
+        assert not r.converged and r.error_estimate == math.inf
+
+
+def test_every_failure_names_a_t_in_the_interval():
+    for f, a, b in [(lambda t: 1e300, 0.0, 1e10), (lambda t: math.log(t - 0.5), 0.0, 1.0)]:
+        with pytest.raises(EvaluationError) as err:
+            integrate(f, a, b, 1e-8)
+        assert a < err.value.point < b
+
+
+def _midpoint_reference(f, a, b):
+    """Richardson's limit of midpoint sums at 2^13 and 2^14 cells, and its
+    change from 2^12 and 2^13 cells."""
+    m = [riemann_sum(f, uniform_partition(Interval(a, b), 2 ** k, MIDPOINT)) for k in (12, 13, 14)]
+    r1, r2 = (4.0 * m[1] - m[0]) / 3.0, (4.0 * m[2] - m[1]) / 3.0
+    return r2, abs(r2 - r1)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_converged_random_trees_are_within_their_estimate(seed):
+    # Only where the reference is itself resolved to tol/100.  1e-9 covers
+    # the samples' own rounding: a phase constant near 2.4e5 inside cos
+    # leaves them 3e-11 apart from the exact function (seed 270).
+    tol = 1e-6
+    f = compile(random_expr(random.Random(seed), max_depth=4))
+    try:
+        r = integrate(f, 0.1, 1.1, tol, max_n=2 ** 14)
+        ref, spread = _midpoint_reference(f, 0.1, 1.1)
+    except (ArithmeticError, ValueError, EvaluationError):
+        assume(False)
+    assume(r.converged and spread <= tol / 100.0)
+    assert abs(r.value - ref) <= r.error_estimate + spread + 1e-9
 
 
 @pytest.mark.parametrize(

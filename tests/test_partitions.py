@@ -230,15 +230,27 @@ def test_exact_sum_raises_what_fsum_raises(size, fill, exc):
 
 
 @pytest.mark.parametrize("n", [4, 4096])
-@pytest.mark.parametrize(
-    "sample, width", [(1e308, 1.0), (-1e308, 1.0), (1e308, 2.0)],
-    ids=["overflow", "negative-overflow", "inf-inf"],
-)
-def test_riemann_sum_is_nan_when_the_terms_cannot_be_summed(n, sample, width):
-    # Finite samples whose terms are +-inf (width 2), or whose sum overflows.
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if width > 1.0 else np.ones(n)
-    f = ArrayFn(lambda t: sample * signs)
-    assert math.isnan(riemann_sum(f, uniform_partition(Interval(0.0, n * width), n, LEFT)))
+@pytest.mark.parametrize("sample", [1e308, -1e308], ids=["overflow", "negative-overflow"])
+def test_riemann_sum_is_nan_when_the_terms_cannot_be_summed(n, sample):
+    # Finite terms whose sum overflows.
+    f = ArrayFn(lambda t: np.full(n, sample))
+    assert math.isnan(riemann_sum(f, uniform_partition(Interval(0.0, n), n, LEFT)))
+
+
+@pytest.mark.parametrize("n", [4, 4096])
+def test_riemann_sum_raises_where_a_term_overflows(n):
+    # Finite samples whose terms on cells of width 2 are +-inf; the sum used
+    # to be nan, after numpy's overflow warning.
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    part = uniform_partition(Interval(0.0, 2.0 * n), n, LEFT)
+    for samples, where in ((1e308 * signs, 0.0), (np.where(part.tags < 5.0, 1.0, 1e308), 6.0)):
+        with pytest.raises(EvaluationError, match="term overflows") as err:
+            riemann_sum(ArrayFn(lambda t: samples), part)
+        assert err.value.point == where
+    # A non-finite sample is named before an earlier overflowing term.
+    with pytest.raises(EvaluationError, match="sample is not finite") as err:
+        riemann_sum(ArrayFn(lambda t: np.where(part.tags < 5.0, 1e308, math.nan)), part)
+    assert err.value.point == 6.0
 
 
 def _validated_uniform(interval, n, rule):
