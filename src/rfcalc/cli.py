@@ -127,8 +127,9 @@ def _emit(output: str, rows: list[dict], doc: object, human: str) -> None:
 
 
 def _integrand(text: str) -> ArrayFn:
-    """The expression as an array integrand: each Riemann sum evaluates it
-    at all of its tags in one eval_expr call."""
+    """The expression as an array integrand: each sample call evaluates it
+    at all of its tags in one eval_expr call, the first three levels of a
+    refinement together."""
     tree = parse(text)
     return ArrayFn(lambda tags: eval_expr(tree, tags))
 

@@ -51,26 +51,51 @@ class IntegrationResult:
     trace: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
 
-def _refine(level: Callable[[int], tuple[float, float]], tol: float, cap: float,
-            probes: int = 0) -> IntegrationResult:
-    """The refinement loop of both integrators.  level(n) returns the Riemann
-    sum with n cells and an error term that refining cannot lower.  n doubles
-    from 8 until the last two level differences are at most tol/2, or at most
-    that term when it alone exceeds tol, or until doubling would pass cap or
-    a sum is not finite.  error_estimate is the larger difference plus the term."""
-    n, trace, steps = max(1, min(DEFAULT_N0, int(cap))), [], [math.inf]
+# A level's tags, and the function from their samples to its Riemann sum and error term.
+_Level = tuple[np.ndarray, Callable[[np.ndarray], tuple[float, float]]]
+
+
+def _refine(level: Callable[[int], _Level], sample: Callable[[np.ndarray], np.ndarray],
+            tol: float, cap: float, probes: int = 0) -> IntegrationResult:
+    """The refinement loop of both integrators.  level(n) returns the tags of
+    the level with n cells and a function from their samples to its Riemann
+    sum and an error term that refining cannot lower.  n doubles from n0
+    until the last two level differences are at most tol/2, or at most that
+    term when it alone exceeds tol, or until doubling would pass cap or a sum
+    is not finite; only these two end a run before its third level.  n0 is the
+    largest of 8, 16 and 32 whose levels n0, 2 n0 and 4 n0 fit under cap, and
+    those three, the fewest on which the rule can decide, are sampled in one
+    call on their tags concatenated; should that call raise, they are sampled
+    one by one, so that the error is the one a level-by-level run meets.
+    Below a cap of 32, levels go one by one from min(8, cap).  error_estimate
+    is the larger difference plus the term; evaluations counts every sample."""
+    n0 = next((n for n in (32, 16, 8) if 4 * n <= cap), 0)
+    n, trace, steps = n0 or max(1, min(DEFAULT_N0, int(cap))), [], [math.inf]
+    plans, batch, taken = [level(n0 << k) for k in range(3)] if n0 else [], [], probes
+    if plans:
+        taken += 7 * n0
+        try:
+            batch = np.split(sample(np.concatenate([t for t, _ in plans])), [n0, 3 * n0])
+        except EvaluationError:
+            pass
     while True:
-        value, extra = level(n)
+        tags, total = plans.pop(0) if plans else level(n)
+        if batch:
+            y = batch.pop(0)
+        else:
+            taken += tags.size
+            y = sample(tags)
+        value, extra = total(y)
         trace.append((n, value))
         if len(trace) >= 3:
             steps = [abs(trace[-1][1] - trace[-2][1]), abs(trace[-2][1] - trace[-3][1])]
-        if (not math.isfinite(value) or max(steps) <= (tol / 2.0 if extra <= tol else extra)
-                or 2 * n > cap):
+            if max(steps) <= (tol / 2.0 if extra <= tol else extra):
+                break
+        if not math.isfinite(value) or 2 * n > cap:
             break
         n *= 2
     est = max(steps) + extra if math.isfinite(value) else math.inf
-    return IntegrationResult(value, est, n, probes + sum(k for k, _ in trace), est <= tol,
-                             tuple(trace))
+    return IntegrationResult(value, est, n, taken, est <= tol, tuple(trace))
 
 
 def _sample(f: Fn, t: np.ndarray) -> np.ndarray:
@@ -123,9 +148,10 @@ def integrate(f: Fn, a: float, b: float, tol: float, rule: TagRule = MIDPOINT,
     sinh s) makes the integral one of f(t(s)) t'(s), which decays double-
     exponentially at both ends of the s-line for a smooth f.  Each level of
     _refine is riemann_sum over uniform_partition of [-S, S], S = asinh((2/pi)
-    ln 2^46); nodes and weights are built once per (n, rule) by the tower's
-    exp.  A node's distance to its end is computed directly, and a node that
-    would round onto an end moves to the nearest double inside.  Refinement
+    ln 2^46), and the first three are sampled in one call of f; nodes and
+    weights are built once per (n, rule) by the tower's exp.  A node's
+    distance to its end is computed directly, and a node that would round
+    onto an end moves to the nearest double inside.  Refinement
     also stops before the central nodes, the farthest apart, come within an
     ulp.  The error term is the mass of |f| beyond the innermost nodes
     (_end_mass).  The integral over [a, a] is 0, reversed endpoints negate
@@ -152,22 +178,26 @@ def integrate(f: Fn, a: float, b: float, tol: float, rule: TagRule = MIDPOINT,
     h, (ln2, s_max) = 0.5 * (b - a), _constants()
     lo, hi = math.nextafter(a, b), math.nextafter(b, a)
 
-    def level(n: int) -> tuple[float, float]:
+    def level(n: int) -> _Level:
         part, k, dist, weight, ds = (_nodes.__wrapped__ if n > _TABLE_MAX else _nodes)(n, rule)
         t = h * dist
         t[:k] += a
         t[k:] = b - t[k:]
-        y = _sample(f, np.minimum(np.maximum(t, lo, out=t), hi, out=t))  # never onto a or b
-        with np.errstate(over="ignore"):
-            g = y * (h * weight)  # the s-line integrand at the level's tags
-            big = ~np.isfinite(g * ds)
-        if big.any():  # raised here, where the t of the term is known
-            raise EvaluationError(float(t[big.argmax()]), "integrand term overflows")
-        i, j = min(t.searchsorted(t[0], "right"), n - 1), max(t.searchsorted(t[-1]) - 1, 0)
-        ends = _end_mass(t, y, 0, i, a, ln2) + _end_mass(t, y, -1, j, b, ln2)
-        return riemann_sum(ArrayFn(lambda s: g), part), ends
+        np.minimum(np.maximum(t, lo, out=t), hi, out=t)  # never onto a or b
 
-    return _refine(level, tol, min(max_n, h * math.pi * s_max / math.ulp(max(-a, b))))
+        def total(y: np.ndarray) -> tuple[float, float]:
+            with np.errstate(over="ignore"):
+                g = y * (h * weight)  # the s-line integrand at the level's tags
+                big = ~np.isfinite(g * ds)
+            if big.any():  # raised here, where the t of the term is known
+                raise EvaluationError(float(t[big.argmax()]), "integrand term overflows")
+            i, j = min(t.searchsorted(t[0], "right"), n - 1), max(t.searchsorted(t[-1]) - 1, 0)
+            ends = _end_mass(t, y, 0, i, a, ln2) + _end_mass(t, y, -1, j, b, ln2)
+            return riemann_sum(ArrayFn(lambda s: g), part), ends
+        return t, total
+
+    return _refine(level, lambda t: _sample(f, t), tol,
+                   min(max_n, h * math.pi * s_max / math.ulp(max(-a, b))))
 
 
 def integrate_improper(f: Fn, a: float, b: float, singular_end: str, tol: float,
@@ -177,7 +207,7 @@ def integrate_improper(f: Fn, a: float, b: float, singular_end: str, tol: float,
     With c the singular end, t = c +- (b-a)/(1 + e^{pi sinh s}) makes the
     integral one of f(t(s)) |t'(s)| over the s-line, where it decays
     double-exponentially at both ends, refined by _refine over uniform
-    partitions of one s-interval.  f is sampled no closer to c than the
+    partitions of one s-interval, the first three levels in one call.  f is sampled no closer to c than the
     depth, (b-a)*_DEPTH or 4096 ulps of c if larger; beyond it a power law
     K |t - c|^-p fitted at three probes continues the integrand, and p >= 1
     raises DivergenceError.  The error term is the change in modelled mass
@@ -229,8 +259,12 @@ def integrate_improper(f: Fn, a: float, b: float, singular_end: str, tol: float,
         return out
 
     s_line = Interval(-_asinh(tail / math.pi), _asinh((ell + tail / (1.0 - p)) / math.pi))
-    return _refine(lambda n: (riemann_sum(ArrayFn(integrand), uniform_partition(s_line, n, rule)),
-                              drift), tol, max_n, probes=3)
+
+    def level(n: int) -> _Level:
+        part = uniform_partition(s_line, n, rule)
+        return part.tags, lambda y: (riemann_sum(ArrayFn(lambda s: y), part), drift)
+
+    return _refine(level, integrand, tol, max_n, probes=3)
 
 
 def cumulative(f: Fn, a: float, grid: Sequence[float], tol: float, rule: TagRule = MIDPOINT,

@@ -252,6 +252,43 @@ def test_work_count_gate(monkeypatch, capsys, argv, budget):
     assert samples <= budget
 
 
+def test_verify_work_counts(monkeypatch, capsys):
+    # A default verify pass, after one that fills the node tables: samples
+    # over every refinement ladder (19,174 when each level took its own call
+    # from n = 8), array-kernel calls (99) and scalar log calls (2,315), each
+    # counted wherever it is looked up.
+    import rfcalc.elementary as elementary
+    import rfcalc.expr as expr
+    import rfcalc.integrator as integrator
+
+    calls = {"samples": 0, "kernels": 0, "log_construct": 0}
+    real_refine = integrator._refine
+
+    def refine(*args, **kwargs):
+        result = real_refine(*args, **kwargs)
+        calls["samples"] += result.evaluations
+        return result
+
+    def counter(real, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    assert run_cli(capsys, "verify")[0] == 0
+    monkeypatch.setattr(integrator, "_refine", refine)
+    for module in (elementary, expr, integrator, theorems):
+        for name, key in (("exp_array", "kernels"), ("log_array", "kernels"),
+                          ("log_construct", "log_construct")):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter(getattr(module, name), key))
+    code, _, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert calls["samples"] < 19_000
+    assert calls["kernels"] <= 40
+    assert calls["log_construct"] <= 1_000
+
+
 def test_nonconvergence_exits_2(capsys):
     # The kink at 0.3 converges only algebraically on the s-line.
     code, out, err = run_cli(
@@ -573,8 +610,17 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
     assert reused[0][1] != reused[1][1]
 
 
-@pytest.mark.parametrize("command", ["integrate", "converge"])
-def test_each_riemann_sum_evaluates_its_tags_in_one_eval_expr_call(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("integrate", "t^2", "0", "1"), 0),
+        (("converge", "t^2", "0", "1"), 0),
+        (("integrate", "1/t", "0", "1"), 2),  # its end term is infinite
+        (("integrate", "1e307", "0", "18"), 2),  # its first sum overflows
+    ],
+    ids=["integrate", "converge", "infinite-end-term", "first-sum-not-finite"],
+)
+def test_each_batch_of_tags_is_one_eval_expr_call(capsys, monkeypatch, argv, code):
     import rfcalc.cli as cli
 
     sizes = []
@@ -585,12 +631,29 @@ def test_each_riemann_sum_evaluates_its_tags_in_one_eval_expr_call(capsys, monke
         return real(e, t)
 
     monkeypatch.setattr(cli, "eval_expr", counted)
-    code, out, _ = run_cli(capsys, command, "t^2", "0", "1", "--output", "json")
-    assert code == 0
-    if command == "integrate":
+    got, out, _ = run_cli(capsys, *argv, "--output", "json")
+    assert got == code
+    if argv[0] == "integrate":
+        assert sizes[0] == 32 + 64 + 128  # the first three levels
         assert sum(sizes) == json.loads(out)["evaluations"]
     else:
         assert sizes == [row[0] for row in json.loads(out)["rows"]]
+
+
+def test_a_cap_of_64_starts_the_ladder_at_16(capsys, monkeypatch):
+    # Levels 16, 32 and 64 are the three that fit; they are the last three of
+    # the ladder from 8, so only the evaluation count (120 from 8) changes.
+    import rfcalc.cli as cli
+
+    sizes = []
+    real = cli.eval_expr
+    monkeypatch.setattr(cli, "eval_expr", lambda e, t: sizes.append(t.size) or real(e, t))
+    code, out, err = run_cli(capsys, "integrate", "t^2", "0", "1", "--max-n", "64",
+                             "--output", "csv")
+    assert code == 2
+    assert out.splitlines()[1] == "0.33333333333333348,3.1709331395179952e-05,64,112,false"
+    assert "did not converge within n <= 64" in err
+    assert sizes == [16 + 32 + 64]
 
 
 def test_only_cli_formats_output():

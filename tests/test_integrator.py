@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -11,12 +12,15 @@ from rfcalc.expr import compile, parse, random_expr
 from rfcalc.integrator import (
     DEFAULT_MAX_N,
     ConvergenceReport,
+    _nodes,
     convergence_report,
     cumulative,
     integrate,
     integrate_improper,
 )
-from rfcalc.partitions import LEFT, MIDPOINT, RIGHT, Interval, riemann_sum, uniform_partition
+from rfcalc.partitions import (
+    LEFT, MIDPOINT, RIGHT, ArrayFn, Interval, riemann_sum, uniform_partition,
+)
 
 
 def test_integrate_cubic():
@@ -30,7 +34,7 @@ def test_integrate_cubic():
 def test_trace_doubles_and_counts_evaluations():
     r = integrate(math.cos, 0.0, 1.0, 1e-10)
     ns = [n for n, _ in r.trace]
-    assert ns[0] == 8
+    assert ns[0] == 32  # n0 under the default cap
     assert all(b == 2 * a for a, b in zip(ns, ns[1:]))
     assert r.evaluations == sum(ns)
     assert r.n_final == ns[-1]
@@ -105,10 +109,95 @@ def test_the_estimate_holds_the_mass_next_to_an_end(p):
 
 
 def test_a_non_integrable_end_is_not_converged():
-    # The sums themselves settle on the truncated integral, 938 short of 1000.
+    # The sums themselves settle on the truncated integral, about 940 short of
+    # 1000.  The run goes on to its third level, n = 128, where the end term
+    # of t^-0.999 is finite but still holds the missing mass.
     for f in (lambda t: t ** -0.999, lambda t: (1.0 - t) ** -0.999):
         r = integrate(f, 0.0, 1.0, 1e-8)
-        assert not r.converged and r.error_estimate == math.inf
+        assert not r.converged and r.n_final == 128
+        assert r.error_estimate >= 1000.0 - r.value
+
+
+def _level_tags(a, b, n, rule=MIDPOINT):
+    """The t at which integrate samples its level of n cells on [a, b]."""
+    _, k, dist, _, _ = _nodes(n, rule)
+    t = 0.5 * (b - a) * dist
+    t[:k] += a
+    t[k:] = b - t[k:]
+    return np.clip(t, math.nextafter(a, b), math.nextafter(b, a))
+
+
+def _level_alone(f, a, b, n, rule):
+    """Level n of integrate's ladder, sampled and summed on its own."""
+    part, _, _, weight, _ = _nodes(n, rule)
+    g = f.fn(_level_tags(a, b, n, rule)) * (0.5 * (b - a) * weight)
+    return riemann_sum(ArrayFn(lambda s: g), part)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([LEFT, MIDPOINT, RIGHT]))
+def test_the_batched_levels_are_the_levels_alone(seed, rule):
+    # The three first levels come from one call on 224 tags, through the
+    # tower's kernels; alone, the 32-tag level goes tag by tag.
+    f = compile(random_expr(random.Random(seed), max_depth=4))
+    try:
+        r = integrate(f, 0.1, 1.1, 1e-6, rule=rule, max_n=128)
+        alone = [_level_alone(f, 0.1, 1.1, n, rule) for n in (32, 64, 128)]
+    except (ArithmeticError, ValueError, EvaluationError):
+        assume(False)
+    assert [n for n, _ in r.trace[:3]] == [32, 64, 128]
+    assert np.array_equal([v for _, v in r.trace[:3]], alone, equal_nan=True)
+
+
+def test_a_fault_at_a_level_2_tag_is_the_one_level_by_level_sampling_meets():
+    bad = float(_level_tags(0.0, 1.0, 64)[9])  # no tag of n = 32 or 128 lies there
+
+    def scalar(t):
+        if t == bad:
+            raise ValueError("no sample here")
+        return t
+
+    array = compile(parse(f"log(abs(t - {bad!r}))"))
+    with pytest.raises(EvaluationError) as alone:
+        array.fn(_level_tags(0.0, 1.0, 64))
+    for n in (32, 128):
+        array.fn(_level_tags(0.0, 1.0, n))
+    for f, want in ((scalar, f"no sample here at t={bad!r}"), (array, str(alone.value))):
+        with pytest.raises(EvaluationError) as err:
+            integrate(f, 0.0, 1.0, 1e-8)
+        assert (err.value.point, str(err.value)) == (bad, want)
+
+
+def test_a_level_1_term_overflow_comes_before_a_level_2_fault():
+    # Level by level, the overflowing term at n = 32 stops the run before
+    # the fault at n = 64 is sampled; the batched start must agree.
+    big, bad = float(_level_tags(0.0, 100.0, 32)[16]), float(_level_tags(0.0, 100.0, 64)[9])
+
+    def f(t):
+        if t == bad:
+            raise ValueError("no sample here")
+        return 1e308 if t == big else 1.0
+
+    with pytest.raises(EvaluationError) as err:
+        integrate(f, 0.0, 100.0, 1e-8)
+    assert (err.value.point, str(err.value)) == (big, f"integrand term overflows at t={big!r}")
+
+
+@pytest.mark.parametrize("cap, sizes", [(16, [8, 16]), (31, [8, 16]), (32, [8 + 16 + 32]),
+                                        (64, [16 + 32 + 64]), (128, [32 + 64 + 128])])
+def test_the_cap_sets_the_start(cap, sizes):
+    # Three levels from the largest of 8, 16 and 32 that fit in one call;
+    # below a cap of 32, one level at a time from 8.  integrate_improper
+    # first samples its three probes and then f only away from the end.
+    f = ArrayFn(lambda t: seen.append(t.size) or 1.0 / np.sqrt(t))
+    ns = [n for n in (8, 16, 32, 64, 128) if n <= cap][-3:]
+    seen = []
+    r = integrate(f, 0.0, 1.0, 1e-300, max_n=cap)
+    assert seen == sizes
+    assert [n for n, _ in r.trace] == ns and r.evaluations == sum(sizes)
+    seen = []
+    r = integrate_improper(f, 0.0, 1.0, "lower", 1e-300, max_n=cap)
+    assert len(seen) == 1 + len(sizes)
+    assert [n for n, _ in r.trace] == ns and r.evaluations == 3 + sum(sizes)
 
 
 def test_every_failure_names_a_t_in_the_interval():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -175,6 +176,22 @@ def test_functional_equation_is_seeded():
     assert (a.lhs, a.rhs) != (c.lhs, c.rhs)
 
 
+@pytest.mark.parametrize("seed", [5, 7, 11, 42])
+def test_functional_equation_has_the_scalar_logs_bits(seed):
+    # The 3 * pairs logs come from one log_array call; pair by pair through
+    # log_construct, the worst pair and its deviation are the same bits.
+    rng = random.Random(seed)
+    worst = (-1.0, 0.0, 0.0)
+    for _ in range(200):
+        x, y = 2.0 ** rng.uniform(-8.0, 8.0), 2.0 ** rng.uniform(-8.0, 8.0)
+        got = log_construct(x * y, 1e-12).value
+        want = log_construct(x, 1e-12).value + log_construct(y, 1e-12).value
+        if abs(got - want) > worst[0]:
+            worst = (abs(got - want), got, want)
+    rep = functional_equation_check(seed)
+    assert (rep.abs_diff, rep.lhs, rep.rhs) == worst
+
+
 @pytest.mark.parametrize("pairs", [0, -1])
 def test_functional_equation_needs_a_pair(pairs):
     # No pair sampled is no check at all, not a vacuous pass.
@@ -228,7 +245,8 @@ def test_catalog_takes_the_array_path(monkeypatch):
     # Catalog and showcase integrands are compiled expressions, so each
     # Riemann sum takes its samples in one array call, never tag by tag; and
     # the tower is reached only through expr, never from theorems' own
-    # imports, which hold neither exp, pow, the hyperbolics nor the inverses.
+    # imports, which hold neither the scalar functions nor exp, pow, the
+    # hyperbolics or the inverses; log_array is for the functional equation.
     calls = 0
     scalar_samples = rfcalc.partitions._scalar_samples
 
@@ -241,9 +259,9 @@ def test_catalog_takes_the_array_path(monkeypatch):
         raise AssertionError(f"constructed function called from theorems with {args}")
 
     monkeypatch.setattr(rfcalc.partitions, "_scalar_samples", counted)
-    for name in ("exp_construct", "pow_construct", "hyperbolic", "inverse_fn"):
+    for name in ("log_construct", "exp_construct", "pow_construct", "hyperbolic", "inverse_fn"):
         assert not hasattr(rfcalc.theorems, name)
-    monkeypatch.setattr(rfcalc.theorems, "log_construct", forbidden)
+    monkeypatch.setattr(rfcalc.theorems, "log_array", forbidden)
     assert all(r.passed for r in run_catalog(1e-6))
     assert all(r.passed for r in derivative_table_check(1e-5))
     assert all(r.passed for r in product_chain_check(1e-5))
