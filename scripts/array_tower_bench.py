@@ -10,15 +10,18 @@ Prints one JSON document with two parts.
   element, the best of `repeats` runs (default 5).  "break_even" is the
   smallest size from which the kernels are faster at every larger size;
   expr._ARRAY_MIN is set from it.
-- "verify": one in-process `rfcalc verify` pass at the default tol, with
+- "verify": one warm in-process `rfcalc verify` pass at the default tol, with
   the kernels and with every array sent element by element: wall seconds
-  (best of `repeats`) and the calls of the scalar log_construct and
-  exp_construct, which do not depend on the machine.
+  (best of `repeats`), and three counts that do not depend on the machine:
+  the calls of the scalar log_construct and exp_construct, and the log
+  sandwich's square-root steps, one per element per step, scalar and array
+  steps together.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -39,9 +42,29 @@ def array_min(size):
         expr._ARRAY_MIN = saved
 
 
+class _SandwichSqrt:
+    """A stand-in for elementary's math or np: sqrt calls made by the log
+    sandwich add one step per element; everything else passes through."""
+
+    def __init__(self, module, steps):
+        self._module, self._steps = module, steps
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+    def sqrt(self, x):
+        if sys._getframe(1).f_code in _SANDWICHES:
+            self._steps["sandwich_steps"] += np.size(x)
+        return self._module.sqrt(x)
+
+
+_SANDWICHES = (elementary._sandwich.__code__, elementary._sandwich_array.__code__)
+
+
 @contextlib.contextmanager
 def counted():
-    """Count the scalar log and exp calls, from expr and from inside the tower."""
+    """Count the scalar log and exp calls, from expr and from inside the tower,
+    and the sandwich's square-root steps."""
     calls = dict.fromkeys(_SCALAR, 0)
     saved = [(m, name, getattr(m, name)) for m in (elementary, expr) for name in _SCALAR]
 
@@ -53,11 +76,15 @@ def counted():
 
     for module, name, fn in saved:
         setattr(module, name, wrap(name, fn))
+    calls["sandwich_steps"] = 0
+    elementary.math = _SandwichSqrt(elementary.math, calls)
+    elementary.np = _SandwichSqrt(elementary.np, calls)
     try:
         yield calls
     finally:
         for module, name, fn in saved:
             setattr(module, name, fn)
+        elementary.math, elementary.np = math, np
 
 
 def best(fn, repeats):
@@ -95,13 +122,15 @@ def verify_pass(repeats):
         with contextlib.redirect_stdout(io.StringIO()):
             return cli.main(["verify"])
 
+    run()  # the lazy caches (log table, e, node tables) fill before counting
     out = {}
     for label, size in (("kernels", expr._ARRAY_MIN), ("element_by_element", sys.maxsize)):
         with array_min(size):
             with counted() as calls:
                 code = run()
             out[label] = {"exit_code": code, "wall_s": round(best(run, repeats), 4),
-                          **{f"{name}_calls": calls[name] for name in _SCALAR}}
+                          **{f"{name}_calls": calls[name] for name in _SCALAR},
+                          "sandwich_steps": calls["sandwich_steps"]}
     return out
 
 

@@ -6,15 +6,19 @@ right Riemann sums of 1/t have closed forms, and Simpson's combination of
 them, enclosed by its Peano remainder, pins log m to within about
 L^6/(24 n^5).  With n = 2^j the n-th root comes from repeated square
 roots, and the recurrence d' = d/(1 + sqrt(1 + d)) carries m^{1/n} - 1
-itself, so the sums never subtract nearly equal numbers; about six steps
-reach the rounding floor.  exp inverts log by Newton's method from a
-polynomial start, each step one certified log call, b^x = exp(x log b),
-hyperbolics are their defining quotients of exp, arsinh/arcosh/artanh are
-closed forms through the certified log, and arcsin/arctan bisect platform
-sin/tan, arcsin above 1/2 through its half-angle form
-pi/2 - 2 arcsin sqrt((1 - y)/2), where sin is not flat.  The array forms
-of log, exp, pow and sinh/cosh/tanh do the same operations in the same
-order under a per-element stop mask, so each element gets the scalar bits.
+itself, so the sums never subtract nearly equal numbers.  The argument is
+first reduced to within 2^-8 of a grid point F = j/128, whose log is
+tabulated once from the same enclosure, so log(m/F) starts from
+|d| <= 0.0055, where one Simpson cell meets most eps and at most two
+square-root steps reach the rounding floor.  exp inverts log by Newton's
+method from a polynomial start, each step one certified log call,
+b^x = exp(x log b), hyperbolics are their defining quotients of exp,
+arsinh/arcosh/artanh are closed forms through the certified log, and
+arcsin/arctan bisect platform sin/tan, arcsin above 1/2 through its
+half-angle form pi/2 - 2 arcsin sqrt((1 - y)/2), where sin is not flat.
+The array forms of log, exp, pow and sinh/cosh/tanh do the same operations
+in the same order under a per-element stop mask, so each element gets the
+scalar bits.
 
 math.log / math.exp / math.pow and numpy's log, exp and power families
 appear nowhere in this module; the test suite uses them as oracles, the
@@ -59,39 +63,41 @@ class ApproxValue:
     bound: float
 
 
-def _sandwich(m: float, budget: float) -> tuple[float, float]:
-    """Enclose log m for m in [sqrt(1/2), 2]; returns (midpoint, certified bound).
+def _sandwich(d: float, budget: float) -> tuple[float, float]:
+    """Enclose log(1 + d) for d in [sqrt(1/2) - 1, 1]; returns (midpoint, bound).
 
-    The geometric partition of [1, m] into n = 2^j cells has one ratio
-    q = 1 + d = m^(1/n), carried by d' = d/(1 + sqrt(1 + d)) from the exact
-    d = m - 1.  The left, midpoint and right terms of 1/t on every cell are
+    The geometric partition of [1, 1 + d] into n = 2^j cells has one ratio
+    q = 1 + d_j = (1 + d)^(1/n), carried by d' = d/(1 + sqrt(1 + d)) from
+    d_0 = d.  The left, midpoint and right terms of 1/t on every cell are
     d, d/(1 + d/2) and d/q, so Simpson's sum is
     S = n(d + 4d/(1 + d/2) + d/q)/6.  The fourth derivative of 1/t is
-    24/t^5, so Peano's remainder gives log m = S - n d^5/(120 xi^5) for
-    some xi between 1 and q, and log m lies in
+    24/t^5, so Peano's remainder gives log(1 + d) = S - n d^5/(120 xi^5) for
+    some xi between 1 and q, and log(1 + d) lies in
     [S - n d^5/120, S - n d^5/(120 q^5)] for either sign of d.  The value
     is the midpoint of that interval; its half-width
     n d^6 (5 + 10d + 10d^2 + 5d^3 + d^4)/(240 q^5), about L^6/(24 n^5) with
-    L = log m, falls 32-fold per halving.
+    L = log(1 + d), falls 32-fold per halving.
 
     Rounding margin, with u = 2^-53, relative to the value since every
-    error below is: a recurrence step rounds 1 + d, the root, 1 + root and
-    the quotient, at most 2.83u of d (1 + root is over 1.8, which shrinks
-    the first two), and passes on the error d already has by a factor of
-    at most 1 + |d|/3 for d < 0 and at most 1 for d > 0; as d halves each
-    step these factors multiply to under 1.1, so d is off by at most 3.1ju
-    after j steps, and log m, whose relative change is at most 1.1 times
-    d's once j >= 1, by 3.4ju.  Simpson's sum takes two roundings per
-    quotient, two additions of terms of one sign and the division by 6:
-    5u.  The Peano correction is under 1% of S, so its own rounding is
-    negligible, and the final subtraction adds u.  The margin
+    error below is; the input d is taken as exact, and a caller that
+    rounded it charges that itself: a recurrence step rounds 1 + d, the
+    root, 1 + root and the quotient, at most 2.83u of d (1 + root is over
+    1.8, which shrinks the first two), and passes on the error d already
+    has by a factor of at most 1 + |d|/3 for d < 0 and at most 1 for d > 0;
+    as d halves each step these factors multiply to under 1.1, so d is off
+    by at most 3.1ju after j steps, and log(1 + d), whose relative change is
+    at most 1.1 times d's once j >= 1, by 3.4ju.  Simpson's sum takes two
+    roundings per quotient, q = 1 + d itself included, which rounds at
+    every step, the first one too: each of d/(1 + d/2) and d/q is off by
+    at most 2u; then two additions of terms of one sign and the division
+    by 6: 5u.  The Peano correction is under 1% of S, so its own rounding
+    is negligible, and the final subtraction adds u.  The margin
     (4j + 8)u|value| covers these with room for second-order terms.
 
     Stops once the bound fits the budget, or at the rounding floor: when
     the half-width is at most 4u|value|, the margin that one more halving
     adds, no further step can lower the bound.
     """
-    d = m - 1.0  # exact for m in [1/2, 2]
     j = 0
     while True:
         q = 1.0 + d
@@ -111,13 +117,12 @@ def _sandwich(m: float, budget: float) -> tuple[float, float]:
         j += 1
 
 
-def _sandwich_array(m: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sandwich_array(d: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_sandwich over arrays: the same operations in the same order, each
     element leaving the loop where the scalar loop returns, so each gets
     _sandwich's bits (numpy rounds +, -, *, /, sqrt and ldexp correctly)."""
-    value, bound = np.empty(m.size), np.empty(m.size)
-    live = np.arange(m.size)
-    d = m - 1.0
+    value, bound = np.empty(d.size), np.empty(d.size)
+    live = np.arange(d.size)
     j = 0
     while live.size:
         q = 1.0 + d
@@ -146,50 +151,85 @@ _LOG2_FACTORS = (1.5, 1.25, 1.0625, 1.0 + 2.0 ** -8, 1.0 + 2.0 ** -16, 1.0 + 2.0
 
 @functools.lru_cache(maxsize=None)
 def _log2_enclosure() -> ApproxValue:
-    parts = [_sandwich(f, 0.0) for f in _LOG2_FACTORS]
+    parts = [_sandwich(f - 1.0, 0.0) for f in _LOG2_FACTORS]
     value = math.fsum(v for v, _ in parts)
     return ApproxValue(value, sum(b for _, b in parts) + 2.0 ** -63 + _ULP * value)
+
+
+# The grid F = j/128 over the reduced m in [sqrt(1/2), sqrt 2): j = round(128 m)
+# lies in 91..181, and |m - F| <= 2^-8.
+_TABLE_FIRST = 91
+_TABLE_LAST = 181
+
+
+@functools.lru_cache(maxsize=None)
+def _log_table() -> tuple[tuple[float, float], ...]:
+    """(value, bound) of log(j/128) for j = 91..181, each at the sandwich's
+    rounding floor; j/128 - 1 is exact, and j = 128 gives exactly (0, 0)."""
+    return tuple(_sandwich(j / 128.0 - 1.0, 0.0) for j in range(_TABLE_FIRST, _TABLE_LAST + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _log_table_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """_log_table's values and bounds as two arrays, for log_array."""
+    values, bounds = zip(*_log_table())
+    return np.array(values), np.array(bounds)
 
 
 def log_construct(x: float, eps: float = 1e-12) -> ApproxValue:
     """Certified log x from Simpson's enclosure on the geometric partition.
 
     x is reduced exactly to 2^k * m with m in [sqrt(1/2), sqrt 2), so
-    log m never cancels against k log 2; the result is
-    k*log2 + sandwich(m) with the carried bound covering the sandwich
-    enclosure, the k-fold reuse of the log2 enclosure, and rounding.  The
+    log m never cancels against k log 2, and m once more to F (1 + d) with
+    F = j/128 the nearest grid point (Tang's table-driven reduction): m - F
+    is exact and at most 2^-8, and d = (m - F)/F rounds once, so
+    |d| <= 0.0055, where the sandwich needs no square-root step at eps 1e-9
+    and at most two at its rounding floor.  The result is
+    k*log2 + log F + sandwich(d), with log F from a table built once at the
+    enclosure's floor, and the carried bound covers the sandwich enclosure,
+    the k-fold reuse of the log2 enclosure, the table entry's bound, the
+    rounding of d (2u|d|, u = 2^-53) and of the two additions.  At j = 128,
+    F = 1 and d = m - 1 exactly, so logs near 1 keep a relative bound.  The
     bound aims for eps but is reported honestly when eps is below the
-    certification floor (under 2e-15, plus 3.5e-15 per unit of |k|).
+    certification floor (under 1.8e-15, plus 3.5e-15 per unit of |k|).
     """
     if not eps > 0:
         raise InvalidArgumentError(f"eps must be positive, got {eps}")
     if math.isnan(x) or math.isinf(x) or x <= 0.0:
         raise DomainError(f"log requires finite x > 0, got {x}")
-    if x == 1.0:
-        return ApproxValue(0.0, 0.0)
     m, k = math.frexp(x)  # x = m * 2^k exactly, m in [0.5, 1)
     if m < _SQRT_HALF:
         m, k = 2.0 * m, k - 1
+    j = int(128.0 * m + 0.5)
+    f = j / 128.0
+    d = (m - f) / f
+    fvalue, fbound = _log_table()[j - _TABLE_FIRST]
     l2 = _log2_enclosure()
     reduction = abs(k) * l2.bound
-    mid, sbound = _sandwich(m, max(eps - reduction, 0.0))
-    value = k * l2.value + mid
-    combo = 2.0 * _ULP * (abs(k * l2.value) + abs(mid) + abs(value))
-    return ApproxValue(value, sbound + reduction + combo)
+    mid, sbound = _sandwich(d, max(eps - reduction - fbound, 0.0))
+    value = k * l2.value + fvalue + mid
+    combo = 2.0 * _ULP * (abs(k * l2.value) + abs(fvalue) + abs(mid) + abs(value))
+    return ApproxValue(value, sbound + reduction + fbound + 2.0 * _ULP * abs(d) + combo)
 
 
 def log_array(x: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray]:
     """log_construct's (value, bound) for an array of finite x > 0, eps one
-    number or one per element; x = 1 reduces to m = 1, k = 0, exactly (0, 0)."""
+    number or one per element; x = 1 reduces to m = 1, k = 0, j = 128,
+    exactly (0, 0)."""
     m, k = np.frexp(x)
     low = m < _SQRT_HALF
     m, k = np.where(low, 2.0 * m, m), np.where(low, k - 1, k)
+    j = (128.0 * m + 0.5).astype(np.int64)
+    f = j / 128.0
+    d = (m - f) / f
+    values, bounds = _log_table_arrays()
+    fvalue, fbound = values[j - _TABLE_FIRST], bounds[j - _TABLE_FIRST]
     l2 = _log2_enclosure()
     reduction = np.abs(k) * l2.bound
-    mid, sbound = _sandwich_array(m, np.maximum(eps - reduction, 0.0))
-    value = k * l2.value + mid
-    combo = 2.0 * _ULP * (np.abs(k * l2.value) + np.abs(mid) + np.abs(value))
-    return value, sbound + reduction + combo
+    mid, sbound = _sandwich_array(d, np.maximum(eps - reduction - fbound, 0.0))
+    value = k * l2.value + fvalue + mid
+    combo = 2.0 * _ULP * (np.abs(k * l2.value) + np.abs(fvalue) + np.abs(mid) + np.abs(value))
+    return value, sbound + reduction + fbound + 2.0 * _ULP * np.abs(d) + combo
 
 
 def exp_construct(y: float, eps: float = 1e-12) -> float:

@@ -651,7 +651,7 @@ def test_a_cap_of_64_starts_the_ladder_at_16(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "integrate", "t^2", "0", "1", "--max-n", "64",
                              "--output", "csv")
     assert code == 2
-    assert out.splitlines()[1] == "0.33333333333333348,3.1709331395179952e-05,64,112,false"
+    assert out.splitlines()[1] == "0.33333333333333343,3.1709331395179952e-05,64,112,false"
     assert "did not converge within n <= 64" in err
     assert sizes == [16 + 32 + 64]
 

@@ -51,10 +51,14 @@ def test_log_certified_everywhere(e):
 
 
 def test_log_bound_tracks_eps():
+    # 7.3 = 8 (117/128)(1 + d) with d = -0.0017, where the sandwich starts at
+    # its floor: both bounds are the same 1.07e-14.  1.0039 has d = 0.0039,
+    # from which one more step still tightens the bound.
     loose = log_construct(7.3, 1e-6)
     tight = log_construct(7.3, 1e-13)
-    assert tight.bound < loose.bound
-    assert loose.bound <= 1e-6
+    assert tight.bound <= loose.bound <= 1e-6
+    assert tight.bound <= 1e-13
+    assert log_construct(1.0039, 1e-30).bound < log_construct(1.0039, 1e-6).bound
 
 
 def test_log_honest_below_certification_floor():
@@ -74,6 +78,14 @@ def test_log_domain():
         log_construct(2.0, eps=0.0)
 
 
+# The reduction's grid F = j/128, j = 91..181, the rounding ties (j + 1/2)/128
+# between its points, and the 1-ulp neighbours of both.
+_GRID = [
+    y
+    for c in [j / 128.0 for j in range(91, 182)] + [(j + 0.5) / 128.0 for j in range(90, 182)]
+    for y in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
+]
+
 _LOG_ARGUMENTS = st.one_of(
     st.floats(min_value=-1074.0, max_value=1023.999).map(lambda t: 2.0 ** t),
     st.floats(min_value=-16.0, max_value=-1.0).map(lambda s: 1.0 + 10.0 ** s),
@@ -83,10 +95,11 @@ _LOG_ARGUMENTS = st.one_of(
         *(math.nextafter(r, to)
           for r in (math.sqrt(2.0), math.sqrt(0.5)) for to in (0.0, math.inf)),
     ]),
+    st.sampled_from(_GRID),
 )
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14, 1e-15, 1e-30])
 @given(x=_LOG_ARGUMENTS)
 def test_log_bound_is_honest(eps, x):
     want = math.log(x)
@@ -111,6 +124,7 @@ class _CountingMath:
 @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
 def test_log_sandwich_steps(monkeypatch, eps):
     elementary._log2_enclosure()  # cached before counting
+    elementary._log_table()
     counting = _CountingMath()
     monkeypatch.setattr(elementary, "math", counting)
     rng = random.Random(20261018)
@@ -121,13 +135,22 @@ def test_log_sandwich_steps(monkeypatch, eps):
         before = counting.sqrt_calls
         log_construct(x, eps)
         steps.append(counting.sqrt_calls - before)
-    assert sum(steps) / len(steps) <= 8.0
-    assert max(steps) <= 12
+    assert sum(steps) / len(steps) <= 1.0
+    assert max(steps) <= 3
 
 
 def test_log_bound_floor_from_half_to_two():
     xs = [0.5 + 1.5 * i / 2000 for i in range(2001)] + [math.sqrt(2.0), math.sqrt(0.5)]
     assert max(log_construct(x, 1e-14).bound for x in xs) <= 2e-14
+
+
+def test_log_table():
+    table = elementary._log_table()
+    assert len(table) == 91
+    for j, (value, bound) in enumerate(table, start=91):
+        want = math.log(j / 128.0)
+        assert abs(value - want) <= bound + math.ulp(want), j
+    assert table[128 - 91] == (0.0, 0.0)
 
 
 def test_log2_constant():
@@ -467,6 +490,7 @@ def test_log_kernel_matches_scalar_bitwise(eps):
         rng.uniform(0.5, 2.0, 2000),
         1.0 + rng.uniform(-1e-6, 1e-6, 500),
         2.0 ** np.arange(-1074.0, 1024.0),  # m = 1 after the reduction
+        _GRID,
         [1.0, 5e-324, 2.2250738585072014e-308, 1.7e308, sys.float_info.max],
     ])
     value, bound = log_array(x, eps)
