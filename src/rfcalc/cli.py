@@ -138,13 +138,10 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     max_n = _resolve_max_n(args.max_n)
     f = _integrand(args.expr)
-    rule = _RULES[args.rule]
     if args.improper is not None:
-        result = integrate_improper(
-            f, args.a, args.b, args.improper, tol, rule=rule, max_n=max_n
-        )
+        result = integrate_improper(f, args.a, args.b, args.improper, tol, max_n=max_n)
     else:
-        result = integrate(f, args.a, args.b, tol, rule=rule, max_n=max_n)
+        result = integrate(f, args.a, args.b, tol, max_n=max_n)
     record = {"value": result.value, "error_estimate": result.error_estimate,
               "n_final": result.n_final, "evaluations": result.evaluations,
               "converged": result.converged}
@@ -284,11 +281,6 @@ def _add_max_n(sub: argparse.ArgumentParser) -> None:
                      help="refinement cap, a power of two in [2^6, 2^26]")
 
 
-def _add_rule(sub: argparse.ArgumentParser, where: str) -> None:
-    sub.add_argument("--rule", choices=sorted(_RULES), default="midpoint",
-                     help=f"tag rule for the Riemann sums, placing tags {where}")
-
-
 def _add_output(sub: argparse.ArgumentParser, default: str) -> None:
     sub.add_argument("--output", choices=("human", "csv", "json"), default=default,
                      help=f"report format (default {default})")
@@ -307,10 +299,10 @@ def _build_parser() -> _ArgumentParser:
     p_int.add_argument("a", type=float, help="lower endpoint")
     p_int.add_argument("b", type=float, help="upper endpoint")
     p_int.add_argument("--improper", choices=("lower", "upper"), default=None,
-                       help="treat this endpoint as singular")
+                       help="treat this endpoint as singular: within the larger of 2^-92 (b-a) "
+                            "and 4096 of its ulps, f is continued by a fitted power law")
     _add_tol(p_int, 1e-8)
     _add_max_n(p_int)
-    _add_rule(p_int, "on the substitution's s-line")
     _add_output(p_int, "human")
     p_int.set_defaults(func=_cmd_integrate)
 
@@ -333,7 +325,8 @@ def _build_parser() -> _ArgumentParser:
     p_con.add_argument("--exact", type=float, default=None,
                        help="known exact value; diffs become true errors")
     _add_max_n(p_con)
-    _add_rule(p_con, "on [a, b]")
+    p_con.add_argument("--rule", choices=sorted(_RULES), default="midpoint",
+                       help="tag rule for the Riemann sums, placing tags on [a, b]")
     _add_output(p_con, "csv")
     p_con.set_defaults(func=_cmd_converge)
 

@@ -120,7 +120,7 @@ def test_nonconvergence_below_the_cap_says_so(capsys):
 def test_improper_early_stop_says_it_stopped_below_the_cap(capsys):
     # The tail model alone misses tol 1e-9, so refinement stops early.
     code, out, err = run_cli(
-        capsys, "integrate", "log(t)/sqrt(t)", "0", "1", "--improper", "lower", "--tol", "1e-9",
+        capsys, "integrate", "1/(t*log(t)^2)", "0", "0.5", "--improper", "lower", "--tol", "1e-9",
         "--output", "json",
     )
     assert code == 2
@@ -175,8 +175,9 @@ def test_overflowing_term_is_one_error_line(argv, a, b):
 
 
 def test_left_rule_on_a_too_wide_interval_is_one_error_line():
-    # This used to warn, refine to the 2^22 cap and report inf with exit 2.
-    done = _fresh_cli("integrate", "t", "1e308", "1.7e308", "--rule", "left")
+    # With left tags, this used to warn, refine to the 2^22 cap and report
+    # inf with exit 2; integrate has midpoint tags only, and no --rule.
+    done = _fresh_cli("integrate", "t", "1e308", "1.7e308")
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == (
@@ -573,6 +574,7 @@ def test_converge_rejects_n_from_above_the_cap(capsys):
         ("eval", "log", "2", "--rule", "left"),
         ("verify", "--rule", "left"),
         ("verify", "--max-n", "64"),
+        ("integrate", "t^2", "0", "1", "--rule", "left"),
     ],
 )
 def test_options_only_where_used(capsys, argv):
@@ -588,7 +590,7 @@ def test_parser_is_built_once_and_leaks_nothing(capsys):
     sequence = [
         ("verify", "--filter", "functional", "--output", "csv", "--seed", "7"),
         ("verify", "--filter", "functional", "--output", "csv"),
-        ("integrate", "t^2", "0", "1", "--rule", "left", "--tol", "1e-3", "--output", "csv"),
+        ("integrate", "t^2", "0", "1", "--tol", "1e-3", "--output", "csv"),
         ("integrate", "t^2", "0", "1", "--output", "csv"),
         ("converge", "cos(t)", "0", "1", "--n-to", "64", "--max-n", "64"),
         ("converge", "cos(t)", "0", "1", "--n-to", "64"),
